@@ -194,6 +194,13 @@ class ConvCodeDesc:
         k = n - parity.rows
         if not 1 <= k <= n - 1:
             raise InvalidParams(f"dimension {k} outside 1..{n - 1}")
+        if parity.memory > 1:
+            raise InvalidParams(
+                f"memory {parity.memory} > 1: only unit-memory parity checks "
+                "H0 + H1 D are supported"
+            )
+        if rank(parity.coefficient(0)) != parity.rows:
+            raise RankDeficient("degree-0 coefficient is not of full row rank")
         return cls(
             n=n,
             k=k,
@@ -296,7 +303,9 @@ class _ColumnSearch:
         self.q = self.field.order
         self.budget = _Budget(budget)
         self._powers = [self.q**i for i in range(self.kappa)]
+        self._h0_rows = [self.h0.row(r) for r in range(self.kappa)]
         self._h1_rows = [self.h1.row(r) for r in range(self.kappa)]
+        self._reductions = {}
         self._sol_cache = {}
         self._fmin_cache = {0: 0}
         self._memo = {}
@@ -363,17 +372,45 @@ class _ColumnSearch:
         for w in range(self.kappa + 1):
             for support in combinations(range(self.n), w):
                 self.budget.spend()
-                if self._solvable(support, t):
+                if self._solve(support, t) is not None:
                     self._fmin_cache[t_enc] = w
                     return w
         raise RuntimeError("no solution found for a full-row-rank system")
 
-    def _solvable(self, support, t):
+    def _reduction(self, support):
+        """Pivots inside S, reduced rows of H0_S and transform T, from one
+        rref of [H0_S | I_kappa] per support S.
+
+        T H0_S is the reduced form of H0_S, so H0_S x = t is inconsistent
+        exactly when T t is nonzero past the rank; otherwise RREF is unique,
+        and rref([H0_S | t]) is the reduced rows with right-hand column T t.
+        """
+        cached = self._reductions.get(support)
+        if cached is not None:
+            return cached
+        w, kappa = len(support), self.kappa
         aug = [
-            [self.h0[r, c] for c in support] + [t[r]] for r in range(self.kappa)
+            [row[c] for c in support] + [int(i == r) for i in range(kappa)]
+            for r, row in enumerate(self._h0_rows)
         ]
-        _, _, pivots = rref(FMatrix(self.field, aug))
-        return len(support) not in pivots
+        reduced, _, pivots = rref(FMatrix(self.field, aug))
+        pivots = tuple(p for p in pivots if p < w)
+        cached = (
+            pivots,
+            [reduced.row(r)[:w] for r in range(len(pivots))],
+            reduced.take_cols(range(w, w + kappa)),
+        )
+        self._reductions[support] = cached
+        return cached
+
+    def _solve(self, support, t):
+        """(pivots, reduced rows, right-hand column) of rref([H0_S | t]), or
+        None when H0_S x = t has no solution."""
+        pivots, reduced, transform = self._reduction(support)
+        rhs = transform.matvec(t)
+        if any(rhs[len(pivots):]):
+            return None
+        return pivots, reduced, rhs
 
     def _solutions(self, t_enc, w):
         """Encoded next targets -H1 v over solutions of H0 v = t, wt(v) = w.
@@ -386,7 +423,6 @@ class _ColumnSearch:
         cached = self._sol_cache.get(key)
         if cached is not None:
             return cached
-        f = self.field
         t = self._dec(t_enc)
         found = set()
         for support in combinations(range(self.n), w):
@@ -397,14 +433,12 @@ class _ColumnSearch:
         return result
 
     def _support_targets(self, support, t):
+        solved = self._solve(support, t)
+        if solved is None:
+            return
+        pivots, reduced, rhs = solved
         f = self.field
         w = len(support)
-        aug = [
-            [self.h0[r, c] for c in support] + [t[r]] for r in range(self.kappa)
-        ]
-        reduced, _, pivots = rref(FMatrix(f, aug))
-        if w in pivots:
-            return
         pivot_set = set(pivots)
         free = [c for c in range(w) if c not in pivot_set]
         for combo in product(range(self.q), repeat=len(free)):
@@ -415,10 +449,10 @@ class _ColumnSearch:
                 x[fc] = val
             ok = all(combo) if free else True
             for r, pc in enumerate(pivots):
-                acc = reduced[r, w]
+                acc = rhs[r]
                 for fc, val in zip(free, combo):
                     if val:
-                        acc = f.sub(acc, f.mul(reduced[r, fc], val))
+                        acc = f.sub(acc, f.mul(reduced[r][fc], val))
                 x[pc] = acc
                 if acc == 0:
                     ok = False

@@ -176,6 +176,38 @@ def test_verify_corrupt_json(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def _sec3_bundle_data():
+    return sec3_code(8, 7, 2, 2).to_json()
+
+
+def test_verify_rejects_memory_two_parity(tmp_path, capsys):
+    # The search reads only coefficients 0 and 1, so a degree-2 term would
+    # be ignored and the code certified with a false free distance.
+    data = _sec3_bundle_data()
+    coeffs = data["parity"]["coeffs"]
+    coeffs.append(coeffs[1])
+    data["delta"] = 4
+    path = tmp_path / "memory2.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "memory 2" in err
+
+
+def test_verify_rejects_rank_deficient_h0(tmp_path, capsys):
+    data = _sec3_bundle_data()
+    h0 = data["parity"]["coeffs"][0]
+    h0[1] = list(h0[0])
+    path = tmp_path / "rank_deficient.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "full row rank" in err
+
+
 def test_examples_single(capsys):
     code, out, _ = run_cli(capsys, "examples", "--id", "1", "--check")
     assert code == EXIT_OK

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from umconv import convcode
 from umconv.blockcode import min_distance, root_parity_matrix
+from umconv.constructions import sec3_code, sec5_part2_code
 from umconv.convcode import (
     BudgetExceeded,
     ConvCodeDesc,
@@ -17,6 +19,7 @@ from umconv.convcode import (
     RankDeficient,
     RowCountExceeded,
     Verdict,
+    _ColumnSearch,
     block_split_certificate,
     classify,
     column_distance,
@@ -146,6 +149,16 @@ def test_desc_from_parity():
     square = PolyMatrix(F3, (FMatrix.identity(F3, 3),))
     with pytest.raises(InvalidParams):
         ConvCodeDesc.from_parity(square)
+    # Memory above one is rejected: the search reads coefficients 0 and 1 only.
+    h2 = FMatrix(F3, [[0, 0, 0], [2, 1, 1]])
+    with pytest.raises(InvalidParams):
+        ConvCodeDesc.from_parity(PolyMatrix(F3, (h0, pm.coefficient(1), h2)))
+    # H0 must have full row rank even when H1 fills its zero row.
+    deficient = PolyMatrix(
+        F3, (FMatrix(F3, [[1, 0, 2], [0, 0, 0]]), FMatrix(F3, [[0, 0, 0], [1, 2, 0]]))
+    )
+    with pytest.raises(RankDeficient):
+        ConvCodeDesc.from_parity(deficient)
 
 
 def test_singleton_and_indices():
@@ -230,6 +243,52 @@ def test_column_distance_routes_wider():
                 assert column_distance(desc, j, method="block") == column_distance(
                     desc, j, method="support"
                 )
+
+
+def _check_engine_reuse(seed, monkeypatch):
+    """One engine walks windows 0..3 on random codes; every window must match
+    the support engine (and brute force where it is small), and the engine
+    must row-reduce each support exactly once."""
+    calls = []
+    real_rref = convcode.rref
+
+    def counting_rref(mat):
+        calls.append(mat)
+        return real_rref(mat)
+
+    monkeypatch.setattr(convcode, "rref", counting_rref)
+    rng = random.Random(seed)
+    engines = []
+    for _ in range(8):
+        f = field_for_order(rng.choice((2, 3, 4, 5)))
+        n = rng.randint(3, 6)
+        kappa = rng.randint(1, min(3, n - 1))
+        pm = _random_unit_memory(rng, f, n, kappa, rng.randint(1, kappa))
+        desc = ConvCodeDesc.from_parity(pm)
+        engine = _ColumnSearch(desc)
+        calls.clear()
+        for j in range(4):
+            d = engine.distance(j)
+            assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
+            if f.q ** (n * (j + 1)) <= 20_000:
+                assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
+        assert len(calls) == len(engine._reductions) <= 2**n
+        engines.append(engine)
+    return engines
+
+
+def test_column_search_reuses_support_reductions(monkeypatch):
+    engines = _check_engine_reuse(47, monkeypatch)
+    assert all(e._ftable is not None for e in engines)
+
+
+def test_column_search_first_hit_route(monkeypatch):
+    # Without the coset-leader table, F(t) comes from the first-hit support
+    # search, which goes through the same per-support reductions.
+    monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
+    engines = _check_engine_reuse(47, monkeypatch)
+    assert all(e._ftable is None for e in engines)
+    assert any(len(e._fmin_cache) > 1 for e in engines)
 
 
 def test_column_distance_fixture_vs_support():
@@ -338,6 +397,26 @@ def test_classify_budget_inconclusive():
         report.strongly_mds,
         report.mdp,
     )
+
+
+@pytest.mark.parametrize(
+    "bundle, steps",
+    [
+        pytest.param(lambda: sec3_code(8, 7, 2, 2), 1680, id="sec3-q8"),
+        pytest.param(lambda: sec5_part2_code(7, 2, 1), 4600, id="sec5p2-q7"),
+    ],
+)
+def test_classify_budget_step_counts(bundle, steps):
+    # Exact step counts: the search spends its budget at fixed points, so a
+    # change to how it solves per-support systems must leave these unchanged.
+    b = bundle()
+
+    def exhausted(budget):
+        report = classify(b.desc, certs=b.split_distances, budget=budget)
+        return any(c["type"] == "budget-exhausted" for c in report.certificates)
+
+    assert not exhausted(steps)
+    assert exhausted(steps - 1)
 
 
 def test_classify_memoryless():
