@@ -9,6 +9,7 @@ computes exact minimum distances by two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .galois import (
@@ -20,6 +21,7 @@ from .galois import (
 from .linalg import FMatrix, rank
 
 _ENUMERATION_LIMIT = 2**20
+_OP_TABLE_LIMIT = 256
 
 
 class DuplicateRoots(ValueError):
@@ -231,7 +233,7 @@ def min_distance(code_or_parity, budget=None, cross_check=None):
     k = n - r
     if k <= 0:
         raise ValueError("code has no nonzero codewords")
-    d = _dependency_min_weight(parity, budget)
+    d = _dependency_min_weight(parity, r, budget)
     if cross_check is None:
         cross_check = field.order**k <= _ENUMERATION_LIMIT
     if cross_check:
@@ -243,53 +245,80 @@ def min_distance(code_or_parity, budget=None, cross_check=None):
     return d
 
 
-def _dependency_min_weight(parity, budget=None):
-    """Smallest w with a dependent w-subset of parity columns.
+def _dependency_min_weight(parity, r, budget=None):
+    """Smallest w with a dependent w-subset of parity columns, for rank r.
 
-    Iterative deepening over the subset size; supports are scanned in
-    lexicographic order with incremental elimination, one small solve per
-    candidate column.  A dependent set of size rank+1 always exists, so the
-    search terminates.
+    Any r + 1 columns are dependent, so the bound starts at best = r + 1.
+    One depth-first pass grows independent column sets in lexicographic
+    order: a node of size s tests each later column, sets best = s + 1 and
+    returns on the first one that reduces to zero, and recurses only while
+    a child could still beat the bound (s + 2 < best).  The first w - 1
+    columns of any minimal dependent w-set are independent, so the pass
+    reaches that node unless a set of size <= w was already found; the
+    result is exact.  Each node holds its later columns already reduced by
+    its pivots, so a child reduces them by its one new pivot only.  One
+    budget step is spent per column test.
     """
-    field = parity.field
-    cols = [parity.column(c) for c in range(parity.cols)]
-    nrows = parity.rows
-    sub = field.sub
-    mul = field.mul
-    inv = field.inv
-    counter = [budget if budget is not None else -1]
+    mul, sub, inv = _op_tables(parity.field)
+    best = r + 1
+    remaining = budget
 
-    def reduce_col(col, elim):
-        vec = list(col)
-        for pivot, prow in elim:
-            c = vec[prow]
-            if c:
-                vec = [sub(x, mul(c, y)) for x, y in zip(vec, pivot)]
-        return vec
-
-    def dfs(start, elim, depth, limit):
-        found = False
-        for idx in range(start, len(cols)):
-            if counter[0] == 0:
-                raise SearchBudgetExceeded("column subset budget exhausted")
-            if counter[0] > 0:
-                counter[0] -= 1
-            vec = reduce_col(cols[idx], elim)
-            prow = next((i for i, x in enumerate(vec) if x != 0), None)
+    def dfs(size, later):
+        nonlocal best, remaining
+        for i, vec in enumerate(later):
+            if remaining is not None:
+                if remaining == 0:
+                    raise SearchBudgetExceeded("column subset budget exhausted")
+                remaining -= 1
+            prow = next((p for p, x in enumerate(vec) if x), None)
             if prow is None:
-                found = True
-                return found
-            if depth + 1 < limit:
-                scale = inv(vec[prow])
-                norm = [mul(scale, x) for x in vec]
-                if dfs(idx + 1, elim + [(norm, prow)], depth + 1, limit):
-                    return True
-        return found
+                best = size + 1
+                return
+            if size + 2 < best:
+                scale = mul[inv[vec[prow]]]
+                pivot = [scale[x] for x in vec]
+                children = []
+                for col in later[i + 1:]:
+                    c = col[prow]
+                    if c:
+                        times_c = mul[c]
+                        col = [sub[x][times_c[y]] for x, y in zip(col, pivot)]
+                    children.append(col)
+                dfs(size + 1, children)
 
-    for w in range(1, nrows + 2):
-        if dfs(0, [], 0, w):
-            return w
-    raise RuntimeError("no dependent subset found")  # unreachable for k >= 1
+    dfs(0, [parity.column(c) for c in range(parity.cols)])
+    return best
+
+
+class _OnDemand:
+    """Stands in for a lookup table too large to build: t[a] is fn(a)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+def _op_tables(field):
+    """(mul, sub, inv) lookup tables: mul[a][b], sub[a][b] and inv[a].
+
+    Built from the field's own operations up to _OP_TABLE_LIMIT elements;
+    larger fields get on-demand stand-ins with the same indexing.
+    """
+    if field.order > _OP_TABLE_LIMIT:
+        return (
+            _OnDemand(lambda a: _OnDemand(partial(field.mul, a))),
+            _OnDemand(lambda a: _OnDemand(partial(field.sub, a))),
+            _OnDemand(field.inv),
+        )
+    elems = range(field.order)
+    mul = [[field.mul(a, b) for b in elems] for a in elems]
+    sub = [[field.sub(a, b) for b in elems] for a in elems]
+    inv = [0] + [field.inv(a) for a in elems[1:]]
+    return mul, sub, inv
 
 
 def _enumeration_min_weight(parity):

@@ -201,6 +201,12 @@ class ConvCodeDesc:
             )
         if rank(parity.coefficient(0)) != parity.rows:
             raise RankDeficient("degree-0 coefficient is not of full row rank")
+        h1 = parity.coefficient(1)
+        h1nz = h1.take_rows([r for r in range(h1.rows) if any(h1.row(r))])
+        if rank(h1nz) != h1nz.rows:
+            raise RankDeficient(
+                "nonzero rows of the degree-1 coefficient are not of full row rank"
+            )
         return cls(
             n=n,
             k=k,
@@ -230,15 +236,20 @@ def singleton_and_indices(n, k, delta):
 def dfree_bounds(desc, block_d, d0, dm=None):
     """Certified free-distance bounds from the three block distances.
 
-    block_d is the distance of the kernel of the stacked coefficients, d0 of
-    the degree-0 kernel, dm of the kernel of the nonzero degree-1 rows (None
-    when the code has no memory).  Lower bound: any codeword is either
-    constant (weight >= block_d) or spans several blocks, with first block in
-    the degree-0 kernel and last block in the degree-1 kernel.
+    block_d is the distance of the kernel of the stacked coefficients (None
+    when that kernel is zero), d0 of the degree-0 kernel, dm of the kernel of
+    the nonzero degree-1 rows (None when the code has no memory).  Lower
+    bound: any codeword is either constant (weight >= block_d) or spans
+    several blocks, with first block in the degree-0 kernel and last block in
+    the degree-1 kernel.  Upper bound: a constant codeword, if there is one,
+    and the generalized Singleton bound.
     """
     bound, _, _ = singleton_and_indices(desc.n, desc.k, desc.delta)
-    lower = block_d if dm is None else min(d0 + dm, block_d)
-    upper = min(block_d, bound)
+    if block_d is None:
+        lower, upper = d0 + dm, bound
+    else:
+        lower = block_d if dm is None else min(d0 + dm, block_d)
+        upper = min(block_d, bound)
     if lower > upper:
         raise PropertyViolation(
             f"free-distance certificate {lower} exceeds its upper bound {upper}"
@@ -247,13 +258,19 @@ def dfree_bounds(desc, block_d, d0, dm=None):
 
 
 def block_split_certificate(desc, budget=None):
-    """Exact distances (block_d, d0, dm) of the three block codes of H(D)."""
+    """Exact distances (block_d, d0, dm) of the three block codes of H(D).
+
+    block_d is None when the stacked [H0; H1nz] has full column rank, i.e.
+    the code has no constant codeword.
+    """
     h0 = desc.parity.coefficient(0)
     h1 = desc.parity.coefficient(1)
     data_rows = [r for r in range(h1.rows) if any(h1.row(r))]
     if data_rows:
         h1nz = h1.take_rows(data_rows)
-        block_d = min_distance(h0.vstack(h1nz), budget=budget)
+        stacked = h0.vstack(h1nz)
+        full_rank = rank(stacked) == desc.n
+        block_d = None if full_rank else min_distance(stacked, budget=budget)
         d0 = min_distance(h0, budget=budget)
         dm = min_distance(h1nz, budget=budget)
         return block_d, d0, dm
@@ -293,7 +310,7 @@ class _ColumnSearch:
     proves d > W, so the first witness level is the exact distance.
     """
 
-    def __init__(self, desc, budget=None):
+    def __init__(self, desc, budget=None, d0=None):
         parity = desc.parity
         self.field = parity.field
         self.h0 = parity.coefficient(0)
@@ -310,7 +327,7 @@ class _ColumnSearch:
         self._fmin_cache = {0: 0}
         self._memo = {}
         self._dist = {}
-        self._d0 = None
+        self._d0 = d0
         self._ftable = None
         if self.q**self.kappa <= _F_TABLE_LIMIT:
             self._build_f_table()
@@ -494,16 +511,14 @@ class _ColumnSearch:
         if j in self._dist:
             return self._dist[j]
         cap = self.kappa * (j + 1) + 1
+        if self._d0 is None:
+            self._d0 = min_distance(self.h0)
         if j == 0:
-            if self._d0 is None:
-                self._d0 = min_distance(self.h0)
             d = self._d0
             if d > cap:
                 raise PropertyViolation(f"d_0 = {d} exceeds its cap {cap}")
         else:
             start = self.distance(j - 1)
-            if self._d0 is None:
-                self._d0 = min_distance(self.h0)
             d = None
             for level in range(start, cap + 1):
                 try:
@@ -632,7 +647,7 @@ def classify(desc, certs=None, jmax=4, budget=10_000_000):
             "upper": upper,
         }
     ]
-    engine = _ColumnSearch(desc, budget=budget)
+    engine = _ColumnSearch(desc, budget=budget, d0=d0)
     dists = {}
     saturated_from = None
     budget_note = None

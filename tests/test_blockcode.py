@@ -4,13 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from umconv import blockcode
 from umconv.blockcode import (
     BlockCode,
     DuplicatePoints,
     DuplicateRoots,
     RootSpec,
     SearchBudgetExceeded,
+    _dependency_min_weight,
+    _enumeration_min_weight,
     base_field_closure_check,
     block_code_from_parity,
     downcast_poly,
@@ -29,7 +34,7 @@ from umconv.galois import (
     poly_eval,
     poly_mod,
 )
-from umconv.linalg import FMatrix, nullspace, rank
+from umconv.linalg import FMatrix, columns_independent, nullspace, rank
 
 F8 = field_for_order(8)
 
@@ -136,6 +141,113 @@ def test_min_distance_budget():
     mat = root_parity_matrix(F8, roots, 7)
     with pytest.raises(SearchBudgetExceeded):
         min_distance(mat, budget=3)
+    # One step per column test: an MDS parity of rank 4 needs every
+    # independent set of up to 3 columns, C(7,1) + ... + C(7,4) = 98 tests.
+    assert min_distance(mat, budget=98) == 5
+    with pytest.raises(SearchBudgetExceeded):
+        min_distance(mat, budget=97)
+
+
+def _oracle_min_distance(parity):
+    """Smallest w such that some w columns are dependent, by trying all."""
+    for w in range(1, parity.cols + 1):
+        for subset in itertools.combinations(range(parity.cols), w):
+            if not columns_independent(parity, subset):
+                return w
+    raise AssertionError("parity has full column rank")
+
+
+def _random_parity(rng, f, n, r, extra_rows):
+    """r random rows plus extra_rows random combinations of them."""
+    rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(r)]
+    for _ in range(extra_rows):
+        combo = [0] * n
+        for row in rows[:r]:
+            c = rng.randrange(f.q)
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
+        rows.append(combo)
+    return rows
+
+
+def test_min_distance_matches_subset_oracle():
+    rng = random.Random(211)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        f = field_for_order(q)
+        for trial in range(10):
+            n = rng.randint(2, 10)
+            rows = _random_parity(rng, f, n, rng.randint(1, n - 1), rng.randint(0, 2))
+            if trial == 8:  # a zero column: d = 1
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            if trial == 9:  # a column repeated up to a scalar: d <= 2
+                src, dst = rng.sample(range(n), 2)
+                c = rng.randrange(1, q)
+                for row in rows:
+                    row[dst] = f.mul(c, row[src])
+            mat = FMatrix(f, rows)
+            want = _oracle_min_distance(mat)
+            if trial >= 8:
+                assert want <= trial - 7
+            assert min_distance(mat, cross_check=False) == want, (q, rows)
+    f7 = field_for_order(7)
+    zero_col = FMatrix(f7, [[1, 0, 2, 3], [4, 0, 5, 6], [5, 0, 0, 2]])
+    assert min_distance(zero_col) == 1
+    repeated = FMatrix(f7, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
+    assert min_distance(repeated) == 2
+
+
+def test_min_distance_without_lookup_tables(monkeypatch):
+    # Fields above the table limit index on-demand arithmetic instead.
+    monkeypatch.setattr(blockcode, "_OP_TABLE_LIMIT", 0)
+    roots = [F8.pow(F8.theta, i) for i in range(4)]
+    assert min_distance(root_parity_matrix(F8, roots, 7), budget=98) == 5
+    f11 = field_for_order(11)
+    roots = [f11.pow(f11.theta, i) for i in range(4)]
+    assert min_distance(root_parity_matrix(f11, roots, 10)) == 5
+    f7 = field_for_order(7)
+    repeated = FMatrix(f7, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
+    assert min_distance(repeated) == 2
+
+
+def test_min_distance_mds_up_to_length_12():
+    # Over GF(11), consecutive roots beta^-a..beta^a of the order-12 element
+    # of GF(121) give a conjugation-closed set, so the realified parity is an
+    # MDS check over GF(11) of rank 2a+1 with more rows than that, n up to q+1.
+    f11 = field_for_order(11)
+    ext = make_ext_field(f11)
+    cases = []
+    for a in (1, 2, 3):
+        spec = RootSpec(ambient=ext, step=ext.beta, lo=-a, hi=a)
+        for n in range(2 * a + 2, 13):
+            cases.append(realify(root_parity_matrix(ext, spec.roots(), n)))
+    for r in (2, 4, 6):
+        roots = [f11.pow(f11.theta, i) for i in range(r)]
+        cases.append(root_parity_matrix(f11, roots, 10))
+    for mat in cases:
+        r = rank(mat)
+        assert min_distance(mat, cross_check=False) == r + 1
+        if 11 ** (mat.cols - r) <= 2**20:
+            assert _enumeration_min_weight(mat) == r + 1
+
+
+@st.composite
+def _small_parity(draw):
+    f = field_for_order(draw(st.sampled_from((2, 3, 4, 5))))
+    n = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 4))
+    entry = st.integers(0, f.q - 1)
+    row = st.lists(entry, min_size=n, max_size=n)
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    return FMatrix(f, data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_parity())
+def test_min_distance_routes_agree_property(mat):
+    r = rank(mat)
+    assume(r < mat.cols)
+    assert _dependency_min_weight(mat, r) == _enumeration_min_weight(mat)
 
 
 def test_block_code_from_parity():

@@ -208,6 +208,21 @@ def test_verify_rejects_rank_deficient_h0(tmp_path, capsys):
     assert err.count("\n") == 1 and "full row rank" in err
 
 
+def test_verify_rejects_dependent_h1_rows(tmp_path, capsys):
+    # Equal H1 rows make the parity not row reduced: the row degrees sum to
+    # 2, but the code's degree is 1, so its Singleton bound would be wrong.
+    data = sec3_code(8, 7, 3, 2).to_json()
+    for h1 in (data["H1"], data["parity"]["coeffs"][1]):
+        h1[1] = list(h1[0])
+    path = tmp_path / "dependent_h1.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "degree-1" in err
+
+
 def test_examples_single(capsys):
     code, out, _ = run_cli(capsys, "examples", "--id", "1", "--check")
     assert code == EXIT_OK

@@ -159,6 +159,10 @@ def test_desc_from_parity():
     )
     with pytest.raises(RankDeficient):
         ConvCodeDesc.from_parity(deficient)
+    # Dependent nonzero H1 rows: the row degrees would overstate delta.
+    dependent = PolyMatrix(F3, (h0, FMatrix(F3, [[1, 2, 0], [2, 1, 0]])))
+    with pytest.raises(RankDeficient):
+        ConvCodeDesc.from_parity(dependent)
 
 
 def test_singleton_and_indices():
@@ -206,6 +210,50 @@ def test_block_split_certificate_examples():
     desc = ConvCodeDesc.from_parity(memoryless)
     block_d, d0, dm = block_split_certificate(desc)
     assert (block_d, d0, dm) == (3, 3, None)
+
+
+def _full_rank_stack_desc():
+    # [H0; H1] is invertible, so the code has no constant codeword.
+    f5 = field_for_order(5)
+    h0 = FMatrix(f5, [[1, 4, 3], [3, 4, 3]])
+    h1 = FMatrix(f5, [[3, 3, 1], [4, 4, 1]])
+    return ConvCodeDesc.from_parity(unit_memory_parity(h0, h1))
+
+
+def test_block_split_certificate_full_rank_stack():
+    desc = _full_rank_stack_desc()
+    assert block_split_certificate(desc) == (None, 2, 2)
+    assert dfree_bounds(desc, None, 2, 2) == (4, 9)
+
+
+def test_classify_full_rank_stack():
+    desc = _full_rank_stack_desc()
+    report = classify(desc, jmax=3)
+    assert report.singleton_bound == 9
+    assert report.column_distances == {0: 2, 1: 4, 2: 5, 3: 6}
+    for j, d in report.column_distances.items():
+        assert column_distance(desc, j, method="support") == d
+    assert report.dfree_upper == 9
+    cert = report.to_json()["certificates"][0]
+    assert cert["type"] == "block-split" and cert["block_d"] is None
+
+
+def test_classify_reuses_certificate_d0(monkeypatch):
+    calls = []
+
+    def counting_min_distance(*args, **kwargs):
+        calls.append(args)
+        return min_distance(*args, **kwargs)
+
+    monkeypatch.setattr(convcode, "min_distance", counting_min_distance)
+    b1 = build_fixture(fixture_by_number(1))
+    classify(b1.desc, certs=b1.split_distances, jmax=2)
+    assert calls == []
+    classify(b1.desc, jmax=2)
+    assert len(calls) == 3  # block_d, d0 and dm, each once
+    calls.clear()
+    column_distance(b1.desc, 1)
+    assert len(calls) == 1  # no certificate: the engine computes d0 itself
 
 
 # -- column distances: three independent routes -------------------------------
