@@ -43,11 +43,7 @@ for label, build, kwargs in BUILDS:
     print(f"  column distances  {profile}")
     print(f"  dfree in [{report.dfree_lower},{report.dfree_upper}], "
           f"Singleton bound {report.singleton_bound}")
-    for prop, verdict in (
-        ("mds", report.mds),
-        ("smds", report.strongly_mds),
-        ("mdp", report.mdp),
-    ):
+    for prop, verdict in report.verdicts().items():
         guaranteed = bundle.expected[prop]
         print(f"    {prop:4s} {verdict.value:12s} "
               f"(guaranteed: {guaranteed})")

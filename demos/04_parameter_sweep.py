@@ -23,9 +23,8 @@ for q in (3, 4, 5):
         report = classify(bundle.desc, certs=bundle.split_distances)
         assert report.dfree_lower == report.dfree_upper
         cells = []
-        for prop, attr in (("mds", "mds"), ("smds", "strongly_mds"),
-                           ("mdp", "mdp")):
-            verdict = getattr(report, attr).value
+        for prop, v in report.verdicts().items():
+            verdict = v.value
             tally[verdict] += 1
             if bundle.expected[prop]:
                 guaranteed_total += 1

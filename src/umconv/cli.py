@@ -6,8 +6,8 @@ sweep (classify every admissible tuple of the guaranteed ranges).
 
 Exit codes: 0 success, 1 a claimed property was refuted or a pinned
 example mismatched, 2 invalid parameters, 3 search budget exhausted with
-inconclusive verdicts.  Output is deterministic for fixed inputs: rows are
-sorted, never arrival-ordered, regardless of --jobs.
+inconclusive verdicts, 4 an internal consistency check failed.  Output is
+deterministic for fixed inputs: rows are sorted, never arrival-ordered.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ import time
 
 from .constructions import (
     FAMILIES,
+    FAMILY_TABLE,
     admissible_parameters,
     construct_family,
-    sec3_code,
-    sec4_code,
-    sec5_construction_one,
-    sec5_construction_two,
-    sec5_part2_code,
+    family,
 )
 from .convcode import (
     BudgetExceeded,
@@ -44,8 +41,11 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
-_PROPS = (("mds", "mds"), ("smds", "strongly_mds"), ("mdp", "mdp"))
+# Family parameters in table order, and the flags only extension families take.
+_PARAMS = tuple(dict.fromkeys(p for fam in FAMILY_TABLE.values() for p in fam.params))
+_EXT_OPTS = ("ext_modulus", "ext_theta")
 
 
 def _int_list(text):
@@ -59,20 +59,6 @@ def _add_common(parser):
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="random seed; accepted for interface uniformity, the commands "
-        "themselves are deterministic",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count; evaluation is serial and output ordering is "
-        "sorted either way",
-    )
 
 
 def _add_classify_opts(parser):
@@ -85,22 +71,26 @@ def _add_classify_opts(parser):
 def _add_construct_opts(parser):
     parser.add_argument("--family", choices=FAMILIES, help="construction family")
     parser.add_argument("--q", type=int, help="field size")
-    parser.add_argument("--n", type=int, help="block length (sec3 only)")
-    parser.add_argument("--k", type=int, help="block dimension")
-    parser.add_argument("--delta", type=int, help="construction delta")
-    parser.add_argument("--tau", type=int, help="root range bound (sec5c2 only)")
+    ext_families = ", ".join(f for f, fam in FAMILY_TABLE.items() if fam.extension)
+    for name in _PARAMS:
+        users = [f for f, fam in FAMILY_TABLE.items() if name in fam.params]
+        parser.add_argument(
+            f"--{name}", type=int, help=f"parameter of {', '.join(users)}"
+        )
     parser.add_argument(
         "--ext-modulus",
         type=_int_list,
         default=None,
         metavar="C0,C1",
-        help="quadratic extension modulus coefficients (constant, linear)",
+        help="quadratic extension modulus coefficients (constant, linear); "
+        f"{ext_families} only",
     )
     parser.add_argument(
         "--ext-theta",
         type=int,
         default=None,
-        help="primitive element override for the quadratic extension",
+        help="primitive element override for the quadratic extension; "
+        f"{ext_families} only",
     )
 
 
@@ -184,32 +174,28 @@ def _ext_from_args(q, args):
     return make_ext_field(base, modulus=modulus, theta=args.ext_theta)
 
 
-def _require(args, names):
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"{args.family} needs {', '.join(missing)}")
+def _flags(args, names, given):
+    """The flags among `names` that were given, or (given=False) left out."""
+    return [
+        "--" + name.replace("_", "-")
+        for name in names
+        if (getattr(args, name) is not None) == given
+    ]
 
 
 def _construct_from_args(args):
     if args.family is None or args.q is None:
         raise ValueError("construction needs --family and --q")
-    q = args.q
-    fam = args.family
-    if fam == "sec3":
-        _require(args, ("n", "k", "delta"))
-        return sec3_code(q, args.n, args.k, args.delta)
-    if fam == "sec4":
-        _require(args, ("k", "delta"))
-        return sec4_code(q, args.k, args.delta)
-    ext = _ext_from_args(q, args)
-    if fam == "sec5c1":
-        _require(args, ("k", "delta"))
-        return sec5_construction_one(q, args.k, args.delta, ext=ext)
-    if fam == "sec5c2":
-        _require(args, ("tau",))
-        return sec5_construction_two(q, args.tau, ext=ext)
-    _require(args, ("k", "delta"))
-    return sec5_part2_code(q, args.k, args.delta, ext=ext)
+    fam = family(args.family)
+    takes = fam.params + (_EXT_OPTS if fam.extension else ())
+    unused = _flags(args, [n for n in _PARAMS + _EXT_OPTS if n not in takes], True)
+    if unused:
+        raise ValueError(f"{args.family} does not take {', '.join(unused)}")
+    missing = _flags(args, fam.params, False)
+    if missing:
+        raise ValueError(f"{args.family} needs {', '.join(missing)}")
+    spec = fam.spec(args.q, *(getattr(args, name) for name in fam.params))
+    return construct_family(spec, ext=_ext_from_args(args.q, args))
 
 
 def _print_json(obj):
@@ -263,7 +249,7 @@ def _render_bundle(bundle):
         f"block [{block.n},{block.k},{block.d}]"
         + ("  MDS" if block.is_mds else "  not MDS"),
         "expected "
-        + " ".join(f"{prop}={bundle.expected[prop]}" for prop, _ in _PROPS),
+        + " ".join(f"{prop}={value}" for prop, value in bundle.expected.items()),
         "H0:",
         bundle.parity.coefficient(0).render(),
         "H1:",
@@ -304,15 +290,10 @@ def _budget_hit(report):
 
 
 def _verdict_exit(report, expected):
-    refuted = any(
-        expected.get(prop) and getattr(report, attr) is Verdict.REFUTED
-        for prop, attr in _PROPS
-    )
-    if refuted:
+    verdicts = report.verdicts()
+    if any(expected.get(p) and v is Verdict.REFUTED for p, v in verdicts.items()):
         return EXIT_REFUTED
-    inconclusive = any(
-        getattr(report, attr) is Verdict.INCONCLUSIVE for _, attr in _PROPS
-    )
+    inconclusive = Verdict.INCONCLUSIVE in verdicts.values()
     if _budget_hit(report) and inconclusive:
         return EXIT_BUDGET
     return EXIT_OK
@@ -327,9 +308,7 @@ def _render_report(report, expected):
         f"column distances  {cds}" if cds else "column distances  none computed",
         f"dfree in [{report.dfree_lower},{report.dfree_upper}]",
         "verdicts "
-        + " ".join(
-            f"{prop}={getattr(report, attr).value}" for prop, attr in _PROPS
-        ),
+        + " ".join(f"{prop}={v.value}" for prop, v in report.verdicts().items()),
     ]
     if expected:
         lines.append(
@@ -341,7 +320,8 @@ def _render_report(report, expected):
 
 
 def cmd_verify(args):
-    if args.input is not None and args.family is not None:
+    inline = ("family", "q") + _PARAMS + _EXT_OPTS
+    if args.input is not None and _flags(args, inline, True):
         raise ValueError("give either --input or inline construction flags")
     if args.input is not None:
         text = sys.stdin.read() if args.input == "-" else open(args.input).read()
@@ -391,9 +371,7 @@ def cmd_examples(args):
             print(
                 f"example {r['number']:2d}  {status:8s} "
                 f"dfree=[{rep.dfree_lower},{rep.dfree_upper}]  "
-                + " ".join(
-                    f"{prop}={getattr(rep, attr).value}" for prop, attr in _PROPS
-                )
+                + " ".join(f"{p}={v.value}" for p, v in rep.verdicts().items())
             )
             for failure in r["failures"]:
                 for line in failure.splitlines():
@@ -431,9 +409,8 @@ def cmd_sweep(args):
     families = tuple(f for f in args.families.split(",") if f)
     if not families:
         raise ValueError("no families given")
-    for fam in families:
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
+    for name in families:
+        family(name)
     rows = _sweep_rows(args, families)
 
     exit_code = EXIT_OK
@@ -454,9 +431,7 @@ def cmd_sweep(args):
                     str(j): d for j, d in sorted(report.column_distances.items())
                 },
                 "dfree": [report.dfree_lower, report.dfree_upper],
-                "verdicts": {
-                    prop: getattr(report, attr).value for prop, attr in _PROPS
-                },
+                "verdicts": {p: v.value for p, v in report.verdicts().items()},
                 "expected": dict(bundle.expected),
                 "ms_elapsed": elapsed,
             }
@@ -513,6 +488,11 @@ def main(argv=None):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        # PropertyViolation and the other cross-checks that found the
+        # program disagreeing with itself.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main():

@@ -19,11 +19,18 @@ delta), except the even/odd split where it is (q+1, q-tau, tau)):
           larger realified side is H0.
   sec5p2  length q+1, constacyclic with roots theta*beta^j; needs
           k = q+1 (mod 2).
+
+FAMILY_TABLE holds one entry per family: its parameter names after q, the
+spec function that alone holds the family's range check and guarantee
+formula, its builder, and whether it is built over GF(q^2).  Builders,
+admissible_parameters, the command line and the fixtures all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
+from typing import Callable, NamedTuple
 
 from .blockcode import (
     RootSpec,
@@ -37,8 +44,6 @@ from .blockcode import (
 )
 from .convcode import ConvCodeDesc, InvalidParams, unit_memory_parity
 from .galois import field_for_order, make_ext_field, poly_from_roots
-
-FAMILIES = ("sec3", "sec4", "sec5c1", "sec5c2", "sec5p2")
 
 
 class ParityConditionViolated(ValueError):
@@ -63,10 +68,7 @@ class FamilySpec:
     n: int
     k: int
     delta: int
-    gamma: int | None = None
     tau: int | None = None
-    r: int | None = None
-    s: int | None = None
     expected: dict | None = dataclass_field(default=None, compare=False)
 
 
@@ -110,28 +112,28 @@ class Bundle:
         }
 
 
-def _bundle(family, q, block, h0, h1, expected, gamma, tau, want):
+def _bundle(spec, block, h0, h1, gamma, want):
     parity = unit_memory_parity(h0, h1)
     desc = ConvCodeDesc.from_parity(parity)
     if (desc.n, desc.k, desc.delta) != want:
         raise RuntimeError(
-            f"{family} produced {(desc.n, desc.k, desc.delta)}, expected {want}"
+            f"{spec.family} produced {(desc.n, desc.k, desc.delta)}, expected {want}"
         )
     split = (block.d, min_distance(h0), min_distance(h1))
     return Bundle(
-        family=family,
-        q=q,
+        family=spec.family,
+        q=spec.q,
         n=desc.n,
         k=desc.k,
         delta=desc.delta,
         gamma=gamma,
-        tau=tau,
+        tau=spec.tau,
         block=block,
         h0=h0,
         h1=h1,
         parity=parity,
         desc=desc,
-        expected=expected,
+        expected=spec.expected,
         split_distances=split,
     )
 
@@ -152,6 +154,9 @@ def _ext_field(base, ext):
     return ext
 
 
+# -- ranges and guarantees: each family's spec is the only place for both ----
+
+
 def _range_flags(n, k, delta):
     return {
         "mds": 2 * delta <= n - k,
@@ -160,12 +165,65 @@ def _range_flags(n, k, delta):
     }
 
 
+def _all_flags(guaranteed):
+    return {"mds": guaranteed, "smds": guaranteed, "mdp": guaranteed}
+
+
+def sec3_spec(q, n, k, delta):
+    if not (1 <= k < n <= q - 1) or delta < 1 or n - k - delta < delta:
+        raise InvalidParams(f"sec3 parameters (q, n, k, delta) = {(q, n, k, delta)}")
+    return FamilySpec("sec3", q, n, k, delta, expected=_range_flags(n, k, delta))
+
+
+def sec4_spec(q, k, delta):
+    if k < 1 or delta < 1 or q - k - delta < delta:
+        raise InvalidParams(f"sec4 parameters (q, k, delta) = {(q, k, delta)}")
+    return FamilySpec("sec4", q, q, k, delta, expected=_range_flags(q, k, delta))
+
+
+def sec5c1_spec(q, k, delta):
+    if (q - k) % 2:
+        raise ParityConditionViolated(f"k = {k} must have the parity of q = {q}")
+    tau = (q - k) // 2
+    if q < 5 or k < 1 or delta < 1 or tau + 1 - delta <= delta:
+        raise InvalidParams(f"sec5c1 parameters (q, k, delta) = {(q, k, delta)}")
+    return FamilySpec(
+        "sec5c1", q, q + 1, k, delta, tau=tau,
+        expected=_all_flags(6 * delta <= q - k + 2),
+    )
+
+
+def sec5c2_spec(q, tau):
+    if q % 2:
+        raise OddFieldSize(f"q = {q} must be even")
+    if q < 4 or not 1 <= tau <= (q - 1) // 2:
+        raise InvalidParams(f"sec5c2 parameters (q, tau) = {(q, tau)}")
+    return FamilySpec(
+        "sec5c2", q, q + 1, q - 2 * tau, tau, tau=tau,
+        expected={"mds": True, "smds": False, "mdp": False},
+    )
+
+
+def sec5p2_spec(q, k, delta):
+    if (q - k) % 2 == 0:
+        raise ParityConditionViolated(f"k = {k} must have the parity of q+1 = {q + 1}")
+    tau = (q - k - 1) // 2
+    if q < 5 or k < 1 or delta < 1 or tau + 1 - delta < delta:
+        raise InvalidParams(f"sec5p2 parameters (q, k, delta) = {(q, k, delta)}")
+    return FamilySpec(
+        "sec5p2", q, q + 1, k, delta, tau=tau,
+        expected=_all_flags(6 * delta <= q - k + 1),
+    )
+
+
+# -- builders ----------------------------------------------------------------
+
+
 def sec3_code(q, n, k, delta, field=None):
     """Length n <= q-1 family; H1 rows ascending, no reversal."""
+    spec = sec3_spec(q, n, k, delta)
     field = _base_field(q, field)
     gamma = n - k - delta
-    if not (1 <= k < n <= q - 1) or delta < 1 or gamma < delta:
-        raise InvalidParams(f"sec3 parameters (q, n, k, delta) = {(q, n, k, delta)}")
     theta = field.theta
     roots = [field.pow(theta, i) for i in range(n - k)]
     parity = root_parity_matrix(field, roots, n)
@@ -176,45 +234,35 @@ def sec3_code(q, n, k, delta, field=None):
     )
     h0 = parity.take_rows(range(gamma))
     h1 = parity.take_rows(range(gamma, gamma + delta))
-    return _bundle(
-        "sec3", q, block, h0, h1, _range_flags(n, k, delta), gamma, None,
-        (n, k + delta, delta),
-    )
+    return _bundle(spec, block, h0, h1, gamma, (n, k + delta, delta))
 
 
 def sec4_code(q, k, delta, field=None):
     """Length q family on all evaluation points; H1 rows reversed."""
+    spec = sec4_spec(q, k, delta)
     field = _base_field(q, field)
     gamma = q - k - delta
-    if k < 1 or delta < 1 or gamma < delta:
-        raise InvalidParams(f"sec4 parameters (q, k, delta) = {(q, k, delta)}")
     theta = field.theta
     points = [0] + [field.pow(theta, i) for i in range(1, q)]
     parity = evaluation_parity_matrix(field, points, q - k)
     block = block_code_from_parity(field, parity)
     h0 = parity.take_rows(range(gamma))
     h1 = parity.take_rows(range(gamma + delta - 1, gamma - 1, -1))
-    return _bundle(
-        "sec4", q, block, h0, h1, _range_flags(q, k, delta), gamma, None,
-        (q, k + delta, delta),
-    )
+    return _bundle(spec, block, h0, h1, gamma, (q, k + delta, delta))
 
 
 def sec5_construction_one(q, k, delta, field=None, ext=None):
     """Length q+1 cyclic family over the quadratic extension, k = q (mod 2)."""
+    spec = sec5c1_spec(q, k, delta)
     field = _base_field(q, field)
-    if (q - k) % 2:
-        raise ParityConditionViolated(f"k = {k} must have the parity of q = {q}")
-    tau = (q - k) // 2
+    tau = spec.tau
     gamma = tau + 1 - delta
-    if q < 5 or k < 1 or delta < 1 or gamma <= delta:
-        raise InvalidParams(f"sec5c1 parameters (q, k, delta) = {(q, k, delta)}")
     ext = _ext_field(field, ext)
     beta = ext.beta
-    spec = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
-    if not base_field_closure_check(spec):
+    roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
+    if not base_field_closure_check(roots):
         raise RuntimeError("root set is not closed under conjugation")
-    gen = downcast_poly(ext, poly_from_roots(ext, spec.roots()))
+    gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
     modulus = (field.neg(1),) + (0,) * q + (1,)
     n = q + 1
     rows_ext = root_parity_matrix(
@@ -227,22 +275,14 @@ def sec5_construction_one(q, k, delta, field=None, ext=None):
     block = block_code_from_parity(
         field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
     )
-    guaranteed = 6 * delta <= q - k + 2
-    expected = {"mds": guaranteed, "smds": guaranteed, "mdp": guaranteed}
-    return _bundle(
-        "sec5c1", q, block, h0, h1, expected, gamma, tau,
-        (n, k + 2 * delta, 2 * delta),
-    )
+    return _bundle(spec, block, h0, h1, gamma, (n, k + 2 * delta, 2 * delta))
 
 
 def sec5_construction_two(q, tau, field=None, ext=None):
     """Length q+1 family for even q, rows split by the parity of the root
     exponent; the larger realified side takes the degree-0 slot."""
-    if q % 2:
-        raise OddFieldSize(f"q = {q} must be even")
+    spec = sec5c2_spec(q, tau)
     field = _base_field(q, field)
-    if q < 4 or not 1 <= tau <= (q - 1) // 2:
-        raise InvalidParams(f"sec5c2 parameters (q, tau) = {(q, tau)}")
     ext = _ext_field(field, ext)
     beta = ext.beta
     n = q + 1
@@ -253,35 +293,29 @@ def sec5_construction_two(q, tau, field=None, ext=None):
     if h_even.rows != 2 * len(evens) - 1 or h_odd.rows != 2 * len(odds):
         raise RuntimeError("unexpected realified row counts")
     h0, h1 = (h_even, h_odd) if h_even.rows > h_odd.rows else (h_odd, h_even)
-    spec = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
-    if not base_field_closure_check(spec):
+    roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
+    if not base_field_closure_check(roots):
         raise RuntimeError("root set is not closed under conjugation")
-    gen = downcast_poly(ext, poly_from_roots(ext, spec.roots()))
+    gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
     modulus = (field.neg(1),) + (0,) * q + (1,)
     block = block_code_from_parity(
         field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
     )
-    expected = {"mds": True, "smds": False, "mdp": False}
-    return _bundle(
-        "sec5c2", q, block, h0, h1, expected, None, tau, (n, q - tau, tau)
-    )
+    return _bundle(spec, block, h0, h1, None, (n, q - tau, tau))
 
 
 def sec5_part2_code(q, k, delta, field=None, ext=None):
     """Length q+1 constacyclic family, k = q+1 (mod 2)."""
+    spec = sec5p2_spec(q, k, delta)
     field = _base_field(q, field)
-    if (q - k) % 2 == 0:
-        raise ParityConditionViolated(f"k = {k} must have the parity of q+1 = {q + 1}")
-    tau = (q - k - 1) // 2
+    tau = spec.tau
     gamma = tau + 1 - delta
-    if q < 5 or k < 1 or delta < 1 or gamma < delta:
-        raise InvalidParams(f"sec5p2 parameters (q, k, delta) = {(q, k, delta)}")
     ext = _ext_field(field, ext)
     theta, beta = ext.theta, ext.beta
-    spec = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau + 1, base_point=theta)
-    if not base_field_closure_check(spec):
+    roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau + 1, base_point=theta)
+    if not base_field_closure_check(roots):
         raise RuntimeError("root set is not closed under conjugation")
-    gen = downcast_poly(ext, poly_from_roots(ext, spec.roots()))
+    gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
     norm = ext.pow(theta, q + 1)
     norm_base, norm_e = ext.decompose(norm)
     if norm_e:
@@ -298,112 +332,60 @@ def sec5_part2_code(q, k, delta, field=None, ext=None):
     block = block_code_from_parity(
         field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
     )
-    guaranteed = 6 * delta <= q - k + 1
-    expected = {"mds": guaranteed, "smds": guaranteed, "mdp": guaranteed}
-    return _bundle(
-        "sec5p2", q, block, h0, h1, expected, gamma, tau,
-        (n, k + 2 * delta, 2 * delta),
-    )
+    return _bundle(spec, block, h0, h1, gamma, (n, k + 2 * delta, 2 * delta))
+
+
+# -- the family table ----------------------------------------------------------
+
+
+class Family(NamedTuple):
+    params: tuple  # parameter names after q
+    spec: Callable  # spec(q, *params) -> FamilySpec; raises outside the range
+    build: Callable  # build(q, *params, field=None[, ext=None]) -> Bundle
+    extension: bool  # built over GF(q^2); the builder takes ext
+
+
+FAMILY_TABLE = {
+    "sec3": Family(("n", "k", "delta"), sec3_spec, sec3_code, False),
+    "sec4": Family(("k", "delta"), sec4_spec, sec4_code, False),
+    "sec5c1": Family(("k", "delta"), sec5c1_spec, sec5_construction_one, True),
+    "sec5c2": Family(("tau",), sec5c2_spec, sec5_construction_two, True),
+    "sec5p2": Family(("k", "delta"), sec5p2_spec, sec5_part2_code, True),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+def family(name):
+    """The table entry of a family; ValueError for an unknown name."""
+    try:
+        return FAMILY_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 def construct_family(spec, field=None, ext=None):
     """Build the bundle for one FamilySpec."""
-    if spec.family == "sec3":
-        return sec3_code(spec.q, spec.n, spec.k, spec.delta, field=field)
-    if spec.family == "sec4":
-        return sec4_code(spec.q, spec.k, spec.delta, field=field)
-    if spec.family == "sec5c1":
-        return sec5_construction_one(spec.q, spec.k, spec.delta, field=field, ext=ext)
-    if spec.family == "sec5c2":
-        return sec5_construction_two(spec.q, spec.tau, field=field, ext=ext)
-    if spec.family == "sec5p2":
-        return sec5_part2_code(spec.q, spec.k, spec.delta, field=field, ext=ext)
-    raise ValueError(f"unknown family {spec.family!r}")
+    fam = family(spec.family)
+    params = [getattr(spec, name) for name in fam.params]
+    if fam.extension:
+        return fam.build(spec.q, *params, field=field, ext=ext)
+    if ext is not None:
+        raise InvalidParams(f"{spec.family} is not built over an extension field")
+    return fam.build(spec.q, *params, field=field)
 
 
 def admissible_parameters(q, families=None):
     """All parameter points of the chosen families at field size q, each
     tagged with the verdicts its parameter range guarantees, sorted by
-    (family, n, k, delta)."""
-    if families is None:
-        families = FAMILIES
-    families = tuple(families)
-    for fam in families:
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
+    (family, n, k, delta).  A point is admissible when its family's spec
+    accepts it; no parameter exceeds q + 1."""
     specs = []
-    if "sec3" in families:
-        for n in range(3, q):
-            for k in range(1, n - 1):
-                for delta in range(1, (n - k) // 2 + 1):
-                    specs.append(
-                        FamilySpec(
-                            "sec3", q, n, k, delta,
-                            gamma=n - k - delta,
-                            expected=_range_flags(n, k, delta),
-                        )
-                    )
-    if "sec4" in families:
-        for k in range(1, q - 1):
-            for delta in range(1, (q - k) // 2 + 1):
-                specs.append(
-                    FamilySpec(
-                        "sec4", q, q, k, delta,
-                        gamma=q - k - delta,
-                        expected=_range_flags(q, k, delta),
-                    )
-                )
-    if "sec5c1" in families and q >= 5:
-        for k in range(1, q - 3):
-            if (q - k) % 2:
-                continue
-            tau = (q - k) // 2
-            for delta in range(1, tau + 1):
-                gamma = tau + 1 - delta
-                if gamma <= delta:
-                    break
-                guaranteed = 6 * delta <= q - k + 2
-                specs.append(
-                    FamilySpec(
-                        "sec5c1", q, q + 1, k, delta, gamma=gamma, tau=tau,
-                        expected={
-                            "mds": guaranteed,
-                            "smds": guaranteed,
-                            "mdp": guaranteed,
-                        },
-                    )
-                )
-    if "sec5c2" in families and q % 2 == 0 and q >= 4:
-        for tau in range(1, (q - 1) // 2 + 1):
-            evens = (tau + 2) // 2
-            specs.append(
-                FamilySpec(
-                    "sec5c2", q, q + 1, q - 2 * tau, tau, tau=tau,
-                    r=evens, s=tau + 1 - evens,
-                    expected={"mds": True, "smds": False, "mdp": False},
-                )
-            )
-    if "sec5p2" in families and q >= 5:
-        for k in range(1, q - 2):
-            if (q - k) % 2 == 0:
-                continue
-            tau = (q - k - 1) // 2
-            if tau < 1:
-                continue
-            for delta in range(1, tau + 2):
-                gamma = tau + 1 - delta
-                if gamma < delta:
-                    break
-                guaranteed = 6 * delta <= q - k + 1
-                specs.append(
-                    FamilySpec(
-                        "sec5p2", q, q + 1, k, delta, gamma=gamma, tau=tau,
-                        expected={
-                            "mds": guaranteed,
-                            "smds": guaranteed,
-                            "mdp": guaranteed,
-                        },
-                    )
-                )
+    for name in FAMILIES if families is None else families:
+        fam = family(name)
+        for point in product(range(1, q + 2), repeat=len(fam.params)):
+            try:
+                specs.append(fam.spec(q, *point))
+            except ValueError:
+                pass
     specs.sort(key=lambda s: (s.family, s.n, s.k, s.delta))
     return specs

@@ -108,6 +108,14 @@ class PolyMatrix:
     def row_degrees(self):
         return tuple(self.row_degree(r) for r in range(self.rows))
 
+    def leading_coefficients(self):
+        """Leading-row-coefficient matrix: row r from the coefficient of
+        row r's degree.  Full row rank means the matrix is row reduced."""
+        return FMatrix(
+            self.field,
+            [self.coefficient(d).row(r) for r, d in enumerate(self.row_degrees())],
+        )
+
     def to_json(self):
         return {
             "rows": self.rows,
@@ -201,11 +209,11 @@ class ConvCodeDesc:
             )
         if rank(parity.coefficient(0)) != parity.rows:
             raise RankDeficient("degree-0 coefficient is not of full row rank")
-        h1 = parity.coefficient(1)
-        h1nz = h1.take_rows([r for r in range(h1.rows) if any(h1.row(r))])
-        if rank(h1nz) != h1nz.rows:
+        if rank(parity.leading_coefficients()) != parity.rows:
             raise RankDeficient(
-                "nonzero rows of the degree-1 coefficient are not of full row rank"
+                "parity check not row reduced: its leading-row-coefficient "
+                "matrix (each degree-1 row from H1, the rest from H0) is not "
+                "of full row rank"
             )
         return cls(
             n=n,
@@ -612,13 +620,13 @@ class ConvReport:
                 str(j): d for j, d in sorted(self.column_distances.items())
             },
             "dfree": [self.dfree_lower, self.dfree_upper],
-            "verdicts": {
-                "mds": self.mds.value,
-                "smds": self.strongly_mds.value,
-                "mdp": self.mdp.value,
-            },
+            "verdicts": {key: v.value for key, v in self.verdicts().items()},
             "certificates": [dict(c) for c in self.certificates],
         }
+
+    def verdicts(self):
+        """Verdict per property, keyed as in reports and `expected` tags."""
+        return {"mds": self.mds, "smds": self.strongly_mds, "mdp": self.mdp}
 
 
 def classify(desc, certs=None, jmax=4, budget=10_000_000):
@@ -738,8 +746,7 @@ def minimality_check(pm):
     kappa, n = pm.rows, pm.cols
     if kappa > n:
         raise RankDeficient("more rows than columns")
-    lead = FMatrix(f, [pm.coefficient(degs[r]).row(r) for r in range(kappa)])
-    row_reduced = rank(lead) == kappa
+    row_reduced = rank(pm.leading_coefficients()) == kappa
     entries = [[pm.entry_poly(r, c) for c in range(n)] for r in range(kappa)]
     gcd = ()
     seen_nonzero = False

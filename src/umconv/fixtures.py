@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import (
-    sec3_code,
-    sec4_code,
-    sec5_construction_one,
-    sec5_construction_two,
-    sec5_part2_code,
-)
+from .constructions import construct_family, family
 from .convcode import Verdict, classify, minimality_check
 from .galois import make_ext_field, make_field
 from .linalg import FMatrix
@@ -266,16 +260,6 @@ FIXTURES = (
     ),
 )
 
-_BUILDERS = {
-    "sec3": sec3_code,
-    "sec4": sec4_code,
-    "sec5c1": sec5_construction_one,
-    "sec5c2": sec5_construction_two,
-    "sec5p2": sec5_part2_code,
-}
-
-_VERDICT_KEYS = {"mds": "mds", "smds": "strongly_mds", "mdp": "mdp"}
-
 
 def fixture_by_number(number):
     for fx in FIXTURES:
@@ -287,11 +271,10 @@ def fixture_by_number(number):
 def build_fixture(fx):
     """Construct the bundle for a fixture, applying its field overrides."""
     base = make_field(2, 3)
-    builder = _BUILDERS[fx.family]
-    if fx.family in ("sec5c1", "sec5c2", "sec5p2"):
+    ext = None
+    if fx.ext_modulus is not None:
         ext = make_ext_field(base, modulus=fx.ext_modulus, theta=fx.ext_theta)
-        return builder(*fx.args, field=base, ext=ext)
-    return builder(*fx.args, field=base)
+    return construct_family(family(fx.family).spec(*fx.args), field=base, ext=ext)
 
 
 def check_fixture(fx, jmax=4, budget=10_000_000):
@@ -330,11 +313,9 @@ def check_fixture(fx, jmax=4, budget=10_000_000):
             f"free distance bounds {(report.dfree_lower, report.dfree_upper)} "
             f"do not pin {fx.dfree}"
         )
-    for claim, verdict_attr in _VERDICT_KEYS.items():
-        if fx.claims.get(claim):
-            verdict = getattr(report, verdict_attr)
-            if verdict is not Verdict.CONFIRMED:
-                failures.append(f"claimed {claim} came back {verdict.value}")
+    for claim, verdict in report.verdicts().items():
+        if fx.claims.get(claim) and verdict is not Verdict.CONFIRMED:
+            failures.append(f"claimed {claim} came back {verdict.value}")
     return {
         "number": fx.number,
         "ok": not failures,

@@ -6,13 +6,16 @@ import sys
 
 import pytest
 
+from umconv import cli
 from umconv.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_REFUTED,
     main,
 )
+from umconv.convcode import PropertyViolation
 from umconv.constructions import sec3_code
 
 
@@ -85,6 +88,24 @@ def test_construct_invalid_names_the_violation(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "sec3", "--q", "8")
     assert code == EXIT_INVALID
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "flags, unused",
+    [
+        (["--family", "sec4", "--q", "8", "--n", "5", "--k", "2", "--delta", "2"],
+         "--n"),
+        (["--family", "sec3", "--q", "8", "--n", "7", "--k", "2", "--delta", "2",
+          "--tau", "9", "--ext-modulus", "1,2"], "--tau, --ext-modulus"),
+        (["--family", "sec5c2", "--q", "8", "--tau", "3", "--k", "99",
+          "--delta", "99"], "--k, --delta"),
+    ],
+)
+def test_construct_rejects_flags_the_family_does_not_take(capsys, flags, unused):
+    code, out, err = run_cli(capsys, "construct", *flags)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {flags[1]} does not take {unused}\n"
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -167,6 +188,9 @@ def test_verify_conflicting_inputs(tmp_path, capsys):
         capsys, "verify", "--input", str(path), "--family", "sec3"
     )
     assert code == EXIT_INVALID
+    code, _, err = run_cli(capsys, "verify", "--input", str(path), "--k", "2")
+    assert code == EXIT_INVALID
+    assert "either --input or inline" in err
 
 
 def test_verify_corrupt_json(tmp_path, capsys):
@@ -223,6 +247,36 @@ def test_verify_rejects_dependent_h1_rows(tmp_path, capsys):
     assert err.count("\n") == 1 and "degree-1" in err
 
 
+def test_verify_rejects_parity_not_row_reduced(tmp_path, capsys):
+    # H0 and H1's one nonzero row each have full row rank, but H0's first
+    # row equals that H1 row, so the leading-row-coefficient matrix is
+    # singular: the row-degree sum 1 is not the code's degree.
+    data = {
+        "q": 5,
+        "parity": {"coeffs": [[[1, 2, 3, 4], [0, 1, 1, 2]],
+                              [[0, 0, 0, 0], [1, 2, 3, 4]]]},
+    }
+    path = tmp_path / "not_row_reduced.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "not row reduced" in err
+
+
+def test_verify_internal_failure_exits_4(monkeypatch, capsys):
+    def disagree(*args, **kwargs):
+        raise PropertyViolation("column distances decrease at window 2")
+
+    monkeypatch.setattr(cli, "classify", disagree)
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "sec4", "--q", "5", "--k", "1", "--delta", "1"
+    )
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: column distances decrease at window 2\n"
+
+
 def test_examples_single(capsys):
     code, out, _ = run_cli(capsys, "examples", "--id", "1", "--check")
     assert code == EXIT_OK
@@ -264,16 +318,6 @@ def test_sweep_csv_shape_and_determinism(capsys):
     data_rows = [line.split(",") for line in lines1[1:]]
     keys = [(int(r[1]), r[0], int(r[2]), int(r[3]), int(r[4])) for r in data_rows]
     assert keys == sorted(keys)
-
-
-def test_sweep_jobs_flag_does_not_change_output(capsys):
-    base = ("sweep", "--q", "4", "--jmax", "1")
-    _, out1, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, out4, _ = run_cli(capsys, *base, "--jobs", "4")
-    strip = lambda text: [
-        line.rsplit(",", 1)[0] for line in text.strip().splitlines()
-    ]
-    assert strip(out1) == strip(out4)
 
 
 def test_sweep_output_file(tmp_path, capsys):

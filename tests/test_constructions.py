@@ -1,10 +1,13 @@
 """Family builders: admissible ranges, validation, structure invariants."""
 
+from itertools import product
+
 import pytest
 
 from umconv.blockcode import min_distance
 from umconv.constructions import (
     FAMILIES,
+    FAMILY_TABLE,
     FamilySpec,
     OddFieldSize,
     ParityConditionViolated,
@@ -70,6 +73,51 @@ def test_admissible_guarantee_windows():
             }
         for s in admissible_parameters(q, families=("sec5c2",)):
             assert s.expected == {"mds": True, "smds": False, "mdp": False}
+
+
+# Admissible points per family (sec3, sec4, sec5c1, sec5c2, sec5p2) at each
+# q, as enumerated by the per-family loops the family table replaced.
+ADMISSIBLE_COUNTS = {
+    3: (0, 1, 0, 0, 0),
+    4: (1, 2, 0, 1, 0),
+    5: (3, 4, 1, 0, 1),
+    7: (13, 9, 2, 0, 2),
+    8: (22, 12, 2, 3, 4),
+    9: (34, 16, 4, 0, 4),
+    11: (70, 25, 6, 0, 6),
+}
+
+
+def test_admissible_counts_pinned():
+    got = {
+        q: tuple(len(admissible_parameters(q, families=(f,))) for f in FAMILIES)
+        for q in ADMISSIBLE_COUNTS
+    }
+    assert got == ADMISSIBLE_COUNTS
+    assert sum(sum(c) for q, c in got.items() if q <= 9) == 141
+    assert sum(sum(c) for c in got.values()) == 248
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_builders_reject_every_point_outside_the_table(name):
+    # The grid reaches one step past the table's own (1..q+1 per parameter).
+    fam = FAMILY_TABLE[name]
+    for q in (4, 5, 7, 8, 9):
+        admitted = {
+            tuple(getattr(s, p) for p in fam.params)
+            for s in admissible_parameters(q, families=(name,))
+        }
+        for point in product(range(0, q + 3), repeat=len(fam.params)):
+            if point not in admitted:
+                with pytest.raises(ValueError):
+                    fam.build(q, *point)
+
+
+def test_built_expected_matches_table(sweep_results):
+    assert len(sweep_results) == 141
+    for spec, bundle, _, _ in sweep_results:
+        assert (bundle.family, bundle.q) == (spec.family, spec.q)
+        assert bundle.expected == spec.expected
 
 
 def test_construct_family_dispatch():

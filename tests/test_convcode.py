@@ -40,8 +40,9 @@ F8 = field_for_order(8)
 
 
 def _random_unit_memory(rng, f, n, kappa, h1_rows):
-    """Random valid unit-memory parity with full-rank H0 and independent
-    H1 data rows."""
+    """Random valid unit-memory parity: full-rank H0, independent nonzero
+    H1 data rows, and a full-rank leading-row-coefficient matrix (row
+    reduced), as ConvCodeDesc.from_parity requires."""
     while True:
         h0 = FMatrix(
             f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(kappa)]
@@ -55,7 +56,9 @@ def _random_unit_memory(rng, f, n, kappa, h1_rows):
             continue
         if any(h1.row_is_zero(r) for r in range(h1.rows)):
             continue
-        return unit_memory_parity(h0, h1)
+        pm = unit_memory_parity(h0, h1)
+        if rank(pm.leading_coefficients()) == kappa:
+            return pm
 
 
 def _brute_column_distance(desc, j):
@@ -163,6 +166,12 @@ def test_desc_from_parity():
     dependent = PolyMatrix(F3, (h0, FMatrix(F3, [[1, 2, 0], [2, 1, 0]])))
     with pytest.raises(RankDeficient):
         ConvCodeDesc.from_parity(dependent)
+    # Not row reduced although H0 and H1's nonzero row have full row rank:
+    # the degree-0 row's H0 row equals the degree-1 row's H1 row.
+    unreduced = PolyMatrix(F3, (h0, FMatrix(F3, [[0, 0, 0], [1, 0, 2]])))
+    assert rank(unreduced.leading_coefficients()) == 1
+    with pytest.raises(RankDeficient):
+        ConvCodeDesc.from_parity(unreduced)
 
 
 def test_singleton_and_indices():
