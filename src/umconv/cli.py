@@ -5,7 +5,8 @@ verify (classify a bundle), examples (regenerate the pinned examples),
 sweep (classify every admissible tuple of the guaranteed ranges).
 
 Exit codes: 0 success, 1 a claimed property was refuted or a pinned
-example mismatched, 2 invalid parameters, 3 search budget exhausted with
+example mismatched, 2 invalid parameters, 3 a claimed property left
+inconclusive (by the budget or --jmax) or the budget exhausted with
 inconclusive verdicts, 4 an internal consistency check failed.  Output is
 deterministic for fixed inputs: rows are sorted, never arrival-ordered.
 """
@@ -55,6 +56,16 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -62,9 +73,14 @@ def _add_common(parser):
 
 
 def _add_classify_opts(parser):
-    parser.add_argument("--jmax", type=int, default=4, help="last column-distance window")
     parser.add_argument(
-        "--budget", type=int, default=10_000_000, help="total search-step budget"
+        "--jmax", type=_nonnegative_int, default=4, help="last column-distance window"
+    )
+    parser.add_argument(
+        "--budget",
+        type=_nonnegative_int,
+        default=10_000_000,
+        help="total search-step budget",
     )
 
 
@@ -270,7 +286,37 @@ def cmd_construct(args):
 # -- verify ------------------------------------------------------------------
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_bundle(data):
+    """Raise ValueError unless the bundle JSON has the types verify reads."""
+    if not isinstance(data, dict):
+        raise ValueError("bundle must be a JSON object")
+    if not _is_int(data.get("q")):
+        raise ValueError("bundle needs an integer field size q")
+    parity = data.get("parity")
+    coeffs = parity.get("coeffs") if isinstance(parity, dict) else None
+    if not isinstance(coeffs, list) or not all(
+        isinstance(m, list)
+        and all(isinstance(row, list) and all(map(_is_int, row)) for row in m)
+        for m in coeffs
+    ):
+        raise ValueError("bundle parity.coeffs must be a list of integer matrices")
+    for key in ("n", "k", "delta"):
+        if data.get(key) is not None and not _is_int(data[key]):
+            raise ValueError(f"bundle {key} must be an integer")
+    expected = data.get("expected")
+    if expected is not None and not (
+        isinstance(expected, dict)
+        and all(isinstance(v, bool) for v in expected.values())
+    ):
+        raise ValueError("bundle expected must map each property to true or false")
+
+
 def _bundle_from_json(data):
+    _check_bundle(data)
     field = field_for_order(data["q"])
     coeffs = [FMatrix(field, rows) for rows in data["parity"]["coeffs"]]
     parity = PolyMatrix(field, coeffs)
@@ -291,10 +337,13 @@ def _budget_hit(report):
 
 def _verdict_exit(report, expected):
     verdicts = report.verdicts()
-    if any(expected.get(p) and v is Verdict.REFUTED for p, v in verdicts.items()):
+    claimed = [v for p, v in verdicts.items() if expected.get(p)]
+    if Verdict.REFUTED in claimed:
         return EXIT_REFUTED
-    inconclusive = Verdict.INCONCLUSIVE in verdicts.values()
-    if _budget_hit(report) and inconclusive:
+    # A claim left open exits 3 whether the budget or --jmax stopped the search.
+    if Verdict.INCONCLUSIVE in claimed:
+        return EXIT_BUDGET
+    if _budget_hit(report) and Verdict.INCONCLUSIVE in verdicts.values():
         return EXIT_BUDGET
     return EXIT_OK
 

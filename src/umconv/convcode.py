@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,6 +289,7 @@ def block_split_certificate(desc, budget=None):
 
 
 _F_TABLE_LIMIT = 250_000
+_ARRAY_TABLE_LIMIT = 1024
 
 
 class _Budget:
@@ -303,6 +306,60 @@ class _Budget:
             raise BudgetExceeded("search budget exhausted")
 
 
+def _lookup(table, q, a, b):
+    return table[np.multiply(a, q, dtype=np.intp) + b]
+
+
+def _elementwise(op, a, b):
+    return op(a, b).astype(np.int64)
+
+
+def _array_ops(field):
+    """(add, mul, dtype): add(a, b) and mul(a, b) on numpy arrays of element
+    codes of the given dtype, broadcasting like numpy arithmetic.
+
+    Fields up to _ARRAY_TABLE_LIMIT elements index flat q*q lookup tables
+    built from the field's own operations (uint8 up to 256 elements, uint16
+    above); larger fields apply those operations elementwise on int64 codes.
+    """
+    q = field.order
+    ops = (field.add, field.mul)
+    if q > _ARRAY_TABLE_LIMIT:
+        ufuncs = [np.frompyfunc(lambda a, b, f=f: f(int(a), int(b)), 2, 1) for f in ops]
+        return tuple(partial(_elementwise, u) for u in ufuncs) + (np.int64,)
+    dtype = np.uint8 if q <= 256 else np.uint16
+    elems = range(q)
+    tables = [np.array([f(a, b) for a in elems for b in elems], dtype) for f in ops]
+    return tuple(partial(_lookup, t, q) for t in tables) + (dtype,)
+
+
+class _Layer(NamedTuple):
+    """Every size-w support S of H0, in lexicographic order, ready to solve
+    H0_S x = t for any target t at once.
+
+    Per support: `system`, the transform T_S of `_ColumnSearch._reduction`
+    stacked on G_S T_S, where G_S = -H1 on the columns of S, pivot columns
+    first (past the rank G_S meets only zero entries of T_S t whenever the
+    system is solvable, so only -H1 on the pivot columns counts); the mask
+    of entries of T_S t past the rank (all zero exactly when H0_S x = t is
+    solvable); the number of free columns; and the slice
+    [start, start + count) of the row arrays.  One row per all-nonzero
+    assignment c of the free columns: pivot offsets -R_S[:, free] c, so the
+    pivot values are T_S t + offset, and carry offsets
+    -(H1_piv offset + H1_free c), so the carry -H1 x is G_S T_S t + offset.
+    Pivot offsets past the rank are 1: there T_S t is zero, so those entries
+    pass the all-nonzero test.
+    """
+
+    system: np.ndarray
+    beyond: np.ndarray
+    free: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    pivot_off: np.ndarray
+    carry_off: np.ndarray
+
+
 class _ColumnSearch:
     """Exact column distances by block-sequential branch and bound.
 
@@ -316,21 +373,30 @@ class _ColumnSearch:
     precomputed as a coset-leader table when the syndrome space is small
     and found by first-hit support search otherwise.  Exhausting level W
     proves d > W, so the first witness level is the exact distance.
+
+    The supports of each weight are row-reduced once, on first use, into
+    one numpy layer (`_Layer`), so solving one target on every support of
+    that weight is a few array operations over lookup tables.
     """
 
     def __init__(self, desc, budget=None, d0=None):
         parity = desc.parity
         self.field = parity.field
         self.h0 = parity.coefficient(0)
-        self.h1 = parity.coefficient(1)
         self.n = parity.cols
         self.kappa = parity.rows
         self.q = self.field.order
         self.budget = _Budget(budget)
-        self._powers = [self.q**i for i in range(self.kappa)]
+        self._add, self._mul, self._dtype = _array_ops(self.field)
+        self._minus_one = self.field.neg(1)
+        self._neg_h1 = self._neg(
+            np.array(parity.coefficient(1).to_lists(), dtype=self._dtype)
+        )
+        powers = [self.q**i for i in range(self.kappa)]
+        wide = self.q**self.kappa > 2**62
+        self._powers = np.array(powers, dtype=object if wide else np.int64)
         self._h0_rows = [self.h0.row(r) for r in range(self.kappa)]
-        self._h1_rows = [self.h1.row(r) for r in range(self.kappa)]
-        self._reductions = {}
+        self._layers = {}
         self._sol_cache = {}
         self._fmin_cache = {0: 0}
         self._memo = {}
@@ -340,21 +406,26 @@ class _ColumnSearch:
         if self.q**self.kappa <= _F_TABLE_LIMIT:
             self._build_f_table()
 
-    def _enc(self, digits):
-        return sum(d * p for d, p in zip(digits, self._powers))
+    def _neg(self, a):
+        return self._mul(self._minus_one, a)
+
+    def _dot(self, mats, vecs):
+        """Field products mats @ vecs over the last axis, broadcasting the
+        leading axes: mats (..., a, b), vecs (..., b) -> (..., a)."""
+        add, mul = self._add, self._mul
+        if mats.shape[-1] == 0:
+            shape = np.broadcast_shapes(mats.shape[:-1], vecs.shape[:-1] + (1,))
+            return np.zeros(shape, dtype=self._dtype)
+        acc = mul(mats[..., 0], vecs[..., None, 0])
+        for j in range(1, mats.shape[-1]):
+            acc = add(acc, mul(mats[..., j], vecs[..., None, j]))
+        return acc
 
     def _dec(self, code):
-        digits = []
-        for _ in range(self.kappa):
-            code, d = divmod(code, self.q)
-            digits.append(d)
-        return tuple(digits)
+        return (code // self._powers % self.q).astype(self._dtype)
 
     def _build_f_table(self):
         f, q, kappa = self.field, self.q, self.kappa
-        add_table = np.array(
-            [[f.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8
-        )
         deltas = set()
         for c in range(self.n):
             col = self.h0.column(c)
@@ -362,16 +433,16 @@ class _ColumnSearch:
                 d = tuple(f.mul(a, x) for x in col)
                 if any(d):
                     deltas.add(d)
-        powers = np.array(self._powers, dtype=np.int64)
+        powers = self._powers
         table = np.full(q**kappa, -1, dtype=np.int16)
         table[0] = 0
-        frontier = np.zeros((1, kappa), dtype=np.uint8)
+        frontier = np.zeros((1, kappa), dtype=self._dtype)
         w = 0
         while frontier.size:
             w += 1
             fresh_codes = []
             for d in sorted(deltas):
-                cand = add_table[frontier, np.array(d, dtype=np.uint8)]
+                cand = self._add(frontier, np.array(d, dtype=self._dtype))
                 codes = cand.astype(np.int64) @ powers
                 fresh = codes[table[codes] < 0]
                 if fresh.size:
@@ -381,7 +452,7 @@ class _ColumnSearch:
             if not fresh_codes:
                 break
             merged = np.concatenate(fresh_codes)
-            frontier = ((merged[:, None] // powers[None, :]) % q).astype(np.uint8)
+            frontier = ((merged[:, None] // powers[None, :]) % q).astype(self._dtype)
         if (table < 0).any():
             raise RuntimeError("syndrome space not fully reachable")
         self._ftable = table
@@ -395,11 +466,13 @@ class _ColumnSearch:
             return cached
         t = self._dec(t_enc)
         for w in range(self.kappa + 1):
-            for support in combinations(range(self.n), w):
-                self.budget.spend()
-                if self._solve(support, t) is not None:
-                    self._fmin_cache[t_enc] = w
-                    return w
+            _, _, solvable = self._solve_all(self._layer(w), t)
+            hits = np.flatnonzero(solvable)
+            # One step per support tried, up to the first solvable one.
+            self.budget.spend(int(hits[0]) + 1 if hits.size else solvable.size)
+            if hits.size:
+                self._fmin_cache[t_enc] = w
+                return w
         raise RuntimeError("no solution found for a full-row-rank system")
 
     def _reduction(self, support):
@@ -410,9 +483,6 @@ class _ColumnSearch:
         exactly when T t is nonzero past the rank; otherwise RREF is unique,
         and rref([H0_S | t]) is the reduced rows with right-hand column T t.
         """
-        cached = self._reductions.get(support)
-        if cached is not None:
-            return cached
         w, kappa = len(support), self.kappa
         aug = [
             [row[c] for c in support] + [int(i == r) for i in range(kappa)]
@@ -420,78 +490,116 @@ class _ColumnSearch:
         ]
         reduced, _, pivots = rref(FMatrix(self.field, aug))
         pivots = tuple(p for p in pivots if p < w)
-        cached = (
-            pivots,
-            [reduced.row(r)[:w] for r in range(len(pivots))],
-            reduced.take_cols(range(w, w + kappa)),
-        )
-        self._reductions[support] = cached
-        return cached
+        rows = [reduced.row(r) for r in range(kappa)]
+        return pivots, [r[:w] for r in rows[: len(pivots)]], [r[w:] for r in rows]
 
-    def _solve(self, support, t):
-        """(pivots, reduced rows, right-hand column) of rref([H0_S | t]), or
-        None when H0_S x = t has no solution."""
-        pivots, reduced, transform = self._reduction(support)
-        rhs = transform.matvec(t)
-        if any(rhs[len(pivots):]):
-            return None
-        return pivots, reduced, rhs
+    def _layer(self, w):
+        """The weight-w layer, built on first use from one reduction per
+        support; rows are built per number of free columns, for all supports
+        with that number at once.
+
+        A support whose q^|free| steps exceed the budget left gets no rows:
+        any query that finds it solvable exhausts the budget before reading
+        rows, and the budget only shrinks.
+        """
+        layer = self._layers.get(w)
+        if layer is not None:
+            return layer
+        kappa, dt = self.kappa, self._dtype
+        supports = list(combinations(range(self.n), w))
+        reductions = [self._reduction(s) for s in supports]
+        size = len(supports)
+        ranks = np.array([len(p) for p, _, _ in reductions], dtype=np.intp)
+        free = w - ranks
+        transform = np.array([t for _, _, t in reductions], dtype=dt)
+        # Columns of each support with its pivot columns first.
+        order = [
+            list(pivots) + [c for c in range(w) if c not in pivots]
+            for pivots, _, _ in reductions
+        ]
+        cols = np.array([[s[c] for c in o] for s, o in zip(supports, order)], np.intp)
+        neg_h1 = np.moveaxis(self._neg_h1[:, cols], 0, 1)  # (size, kappa, w)
+        carry = np.zeros((size, kappa, kappa), dtype=dt)
+        carry[:, :, : min(w, kappa)] = neg_h1[:, :, :kappa]
+        count = np.zeros(size, dtype=np.intp)
+        groups = [np.zeros(0, np.intp)]
+        pivot_off, carry_off = [np.zeros((0, kappa), dt)], [np.zeros((0, kappa), dt)]
+        remaining = self.budget.remaining
+        for nfree in np.unique(free).tolist():
+            if remaining is not None and nfree and self.q**nfree > remaining:
+                continue
+            rk = w - nfree
+            idx = np.flatnonzero(free == nfree)
+            free_cols = [(order[i][rk:], reductions[i][1]) for i in idx]
+            reduced = np.array(
+                [[[r[c] for c in fc] for r in rows] for fc, rows in free_cols], dt
+            ).reshape(idx.size, 1, rk, nfree)
+            # Every all-nonzero assignment of the free columns, one per row.
+            combos = (self.q - 1) ** nfree
+            grid = np.indices((self.q - 1,) * nfree, dtype=dt)
+            assign = grid.reshape(nfree, combos).T + 1
+            offset = self._neg(self._dot(reduced, assign[None]))  # (m, K, rk)
+            x = np.concatenate(
+                [offset, np.broadcast_to(assign, offset.shape[:2] + (nfree,))], axis=2
+            )
+            groups.append(idx)
+            count[idx] = combos
+            carry_off.append(self._dot(neg_h1[idx, None], x).reshape(-1, kappa))
+            pad = np.ones(offset.shape[:2] + (kappa - rk,), dtype=dt)
+            pivot_off.append(np.concatenate([offset, pad], axis=2).reshape(-1, kappa))
+        grouped = np.concatenate(groups)
+        start = np.zeros(size, dtype=np.intp)
+        start[grouped] = np.cumsum(count[grouped]) - count[grouped]
+        carry_map = self._dot(carry[:, None], transform.swapaxes(1, 2)).swapaxes(1, 2)
+        layer = _Layer(
+            system=np.concatenate([transform, carry_map], axis=1),
+            beyond=np.arange(kappa) >= ranks[:, None],
+            free=free,
+            start=start,
+            count=count,
+            pivot_off=np.concatenate(pivot_off),
+            carry_off=np.concatenate(carry_off),
+        )
+        self._layers[w] = layer
+        return layer
+
+    def _solve_all(self, layer, t):
+        """(T_S t, G_S T_S t, solvable) for every support S of the layer."""
+        out = self._dot(layer.system, t)
+        rhs = out[:, : self.kappa]
+        return rhs, out[:, self.kappa :], ~((rhs != 0) & layer.beyond).any(axis=1)
 
     def _solutions(self, t_enc, w):
         """Encoded next targets -H1 v over solutions of H0 v = t, wt(v) = w.
 
         Each weight-w solution has full support on exactly one size-w column
         set, so scanning all supports and keeping the everywhere-nonzero
-        solutions enumerates each solution once.
+        solutions enumerates each solution once.  The budget is charged one
+        step per support and q^|free| per solvable support with free columns,
+        one step per assignment of its free columns.
         """
         key = (t_enc, w)
         cached = self._sol_cache.get(key)
         if cached is not None:
             return cached
-        t = self._dec(t_enc)
-        found = set()
-        for support in combinations(range(self.n), w):
-            self.budget.spend()
-            found.update(self._support_targets(support, t))
-        result = tuple(sorted(found))
+        layer = self._layer(w)
+        rhs, base, solvable = self._solve_all(layer, self._dec(t_enc))
+        hit = np.flatnonzero(solvable)
+        per_free = np.bincount(layer.free[hit], minlength=w + 1).tolist()
+        self.budget.spend(
+            solvable.size + sum(c * self.q**f for f, c in enumerate(per_free) if f)
+        )
+        counts = layer.count[hit]
+        firsts = layer.start[hit] - (np.cumsum(counts) - counts)
+        rows = np.arange(counts.sum()) + np.repeat(firsts, counts)
+        pivots = self._add(np.repeat(rhs[hit], counts, axis=0), layer.pivot_off[rows])
+        full = pivots.all(axis=1)
+        base = np.repeat(base[hit], counts, axis=0)[full]
+        carries = self._add(base, layer.carry_off[rows[full]])
+        codes = carries.astype(self._powers.dtype) @ self._powers
+        result = tuple(np.unique(codes).tolist())
         self._sol_cache[key] = result
         return result
-
-    def _support_targets(self, support, t):
-        solved = self._solve(support, t)
-        if solved is None:
-            return
-        pivots, reduced, rhs = solved
-        f = self.field
-        w = len(support)
-        pivot_set = set(pivots)
-        free = [c for c in range(w) if c not in pivot_set]
-        for combo in product(range(self.q), repeat=len(free)):
-            if free:
-                self.budget.spend()
-            x = [0] * w
-            for fc, val in zip(free, combo):
-                x[fc] = val
-            ok = all(combo) if free else True
-            for r, pc in enumerate(pivots):
-                acc = rhs[r]
-                for fc, val in zip(free, combo):
-                    if val:
-                        acc = f.sub(acc, f.mul(reduced[r][fc], val))
-                x[pc] = acc
-                if acc == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            target = []
-            for row in self._h1_rows:
-                acc = 0
-                for c, xv in zip(support, x):
-                    if xv and row[c]:
-                        acc = f.add(acc, f.mul(row[c], xv))
-                target.append(f.neg(acc))
-            yield self._enc(target)
 
     def _exists(self, m, t_enc, limit):
         """Whether m further blocks solving into target t fit in weight limit."""

@@ -164,7 +164,9 @@ def rref(mat):
             if r != prow and data[r][col] != 0:
                 c = data[r][col]
                 rowp = data[prow]
-                data[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(data[r], rowp)]
+                data[r] = [
+                    f.sub(x, f.mul(c, y)) if y else x for x, y in zip(data[r], rowp)
+                ]
         pivots.append(col)
         prow += 1
     return FMatrix(f, data), len(pivots), tuple(pivots)

@@ -1,10 +1,15 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umconv import cli
 from umconv.cli import (
@@ -16,7 +21,7 @@ from umconv.cli import (
     main,
 )
 from umconv.convcode import PropertyViolation
-from umconv.constructions import sec3_code
+from umconv.constructions import sec3_code, sec4_code
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +267,132 @@ def test_verify_rejects_parity_not_row_reduced(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert out == ""
     assert err.count("\n") == 1 and "not row reduced" in err
+
+
+def test_verify_inconclusive_claim_exits_3(capsys):
+    # --jmax 0 stops before window M = 1, so the claimed mds and smds stay
+    # inconclusive although no budget ran out.
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "sec4", "--q", "8", "--k", "2", "--delta", "2",
+        "--jmax", "0",
+    )
+    assert code == EXIT_BUDGET
+    assert "mds=inconclusive smds=inconclusive mdp=confirmed" in out
+    assert "budget-exhausted" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "sec4", "--q", "8", "--k", "2", "--delta", "2"),
+        ("examples", "--id", "1"),
+        ("sweep", "--q", "3"),
+    ],
+    ids=["verify", "examples", "sweep"],
+)
+@pytest.mark.parametrize("flag", ["--jmax", "--budget"])
+def test_negative_jmax_and_budget_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, "-1"])
+    captured = capsys.readouterr()
+    assert info.value.code == EXIT_INVALID
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "must not be negative" in errors[0]
+
+
+def _run_verify_json(data, *flags):
+    """(exit code, stdout, stderr) of `verify --input -` on a JSON value."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(data))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--input", "-", *flags])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _small_bundle_json():
+    return json.dumps(sec4_code(4, 2, 1).to_json())
+
+
+def _small_bundle_data():
+    return json.loads(_small_bundle_json())
+
+
+def _set_entry(value):
+    def mutate(data):
+        data["parity"]["coeffs"][0][0][1] = value
+        return data
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda data: [data],
+        lambda data: None,
+        lambda data: {**data, "q": "4"},
+        lambda data: {**data, "q": None},
+        lambda data: {**data, "parity": [data["parity"]]},
+        _set_entry(1.5),
+        _set_entry(True),
+        lambda data: {**data, "expected": ["mds"]},
+    ],
+    ids=["list", "null", "q-string", "q-null", "parity-list", "float", "bool",
+         "expected-list"],
+)
+def test_verify_rejects_malformed_bundle_types(mutate):
+    code, out, err = _run_verify_json(mutate(_small_bundle_data()))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: bundle") and err.count("\n") == 1
+
+
+def _locations(node, out):
+    """Every (container, key) slot of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _locations(child, out)
+    return out
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.sampled_from([10**20, -(10**20), 0.5, 2.0, "1", "", [], {}]),
+    st.lists(st.integers(0, 5), max_size=4),
+    st.dictionaries(
+        st.sampled_from(["q", "coeffs", "mds"]), st.integers(0, 4), max_size=2
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_verify_bundle_mutation_fuzz(data):
+    # Malformed bundles are classified or rejected, never a traceback: drop
+    # keys or list items (ragged rows), or put junk of any type anywhere.
+    bundle = _small_bundle_data()
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _locations(bundle, [])
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_JUNK)
+    code, _, err = _run_verify_json(bundle, "--jmax", "2", "--budget", "20000")
+    assert code in (EXIT_OK, EXIT_REFUTED, EXIT_INVALID, EXIT_BUDGET, EXIT_INTERNAL)
+    assert "Traceback" not in err
 
 
 def test_verify_internal_failure_exits_4(monkeypatch, capsys):

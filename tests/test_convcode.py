@@ -329,7 +329,8 @@ def _check_engine_reuse(seed, monkeypatch):
             assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
             if f.q ** (n * (j + 1)) <= 20_000:
                 assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
-        assert len(calls) == len(engine._reductions) <= 2**n
+        supports = sum(layer.free.size for layer in engine._layers.values())
+        assert len(calls) == supports <= 2**n
         engines.append(engine)
     return engines
 
@@ -346,6 +347,75 @@ def test_column_search_first_hit_route(monkeypatch):
     engines = _check_engine_reuse(47, monkeypatch)
     assert all(e._ftable is None for e in engines)
     assert any(len(e._fmin_cache) > 1 for e in engines)
+
+
+def _batched_cases(q):
+    """Seeded random codes over GF(q); n - kappa >= 2 on most, so the
+    weight layers above kappa have supports with free columns."""
+    rng = random.Random(100 + q)
+    f = field_for_order(q)
+    shapes = ((2, 1), (3, 1), (4, 2), (4, 1), (5, 3))
+    return [
+        _random_unit_memory(rng, f, n, kappa, rng.randint(1, kappa))
+        for n, kappa in shapes
+    ]
+
+
+@pytest.mark.parametrize("route", ["table", "first-hit", "elementwise"])
+@pytest.mark.parametrize("q", [8, 9])
+def test_batched_search_over_gf8_and_gf9(q, route, monkeypatch):
+    # GF(8) has characteristic 2; GF(9) is an odd-characteristic extension
+    # field, where negation is not the identity.  "first-hit" drops the
+    # coset-leader table; "elementwise" replaces the lookup tables by the
+    # field's own operations, as for fields above _ARRAY_TABLE_LIMIT.
+    if route == "first-hit":
+        monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
+    if route == "elementwise":
+        monkeypatch.setattr(convcode, "_ARRAY_TABLE_LIMIT", 2)
+    f = field_for_order(q)
+    assert (f.neg(1) == 1) == (q == 8)
+    rows_with_free_columns = 0
+    for pm in _batched_cases(q):
+        desc = ConvCodeDesc.from_parity(pm)
+        engine = _ColumnSearch(desc)
+        assert (engine._ftable is None) == (route == "first-hit")
+        for j in range(3):
+            d = engine.distance(j)
+            assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
+            if q ** (desc.n * (j + 1)) <= 20_000:
+                assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
+        for layer in engine._layers.values():
+            rows_with_free_columns += int(layer.count[layer.free > 0].sum())
+    assert rows_with_free_columns > 0
+
+
+def test_batched_search_every_budget():
+    # A layer built with less budget left than q^|free| keeps no rows for
+    # such supports; a query that finds one solvable must exhaust the budget
+    # before it reads rows.  So every budget below the exact need raises,
+    # and every query answered under any budget has the unlimited answer.
+    pm = _random_unit_memory(random.Random(3), F8, 5, 2, 1)
+    desc = ConvCodeDesc.from_parity(pm)
+
+    def run(budget):
+        engine = _ColumnSearch(desc, budget=budget)
+        try:
+            dists = [engine.distance(j) for j in range(3)]
+        except BudgetExceeded:
+            dists = None
+        return dists, engine
+
+    big = 10**12
+    want, full = run(big)
+    need = big - full.budget.remaining
+    skipped = 0
+    for budget in range(need + 1):
+        dists, engine = run(budget)
+        assert dists == (want if budget == need else None), budget
+        assert all(full._sol_cache[key] == v for key, v in engine._sol_cache.items())
+        for layer in engine._layers.values():
+            skipped += int(((layer.count == 0) & (layer.free > 0)).sum())
+    assert skipped > 0
 
 
 def test_column_distance_fixture_vs_support():
@@ -474,6 +544,20 @@ def test_classify_budget_step_counts(bundle, steps):
 
     assert not exhausted(steps)
     assert exhausted(steps - 1)
+
+
+@pytest.mark.parametrize(
+    "budget, j, lower_bound",
+    [(1, 1, 5), (447, 1, 5), (448, 1, 6), (1847, 1, 6), (1848, 1, 7), (4599, 1, 7)],
+)
+def test_classify_budget_exhausted_certificate(budget, j, lower_bound):
+    # The level at which the budget runs out, measured on the scalar search
+    # this batched one replaced: the whole level's steps are charged in one
+    # query, so exhaustion must land in the same query.
+    b = sec5_part2_code(7, 2, 1)
+    report = classify(b.desc, certs=b.split_distances, budget=budget)
+    notes = [c for c in report.certificates if c["type"] == "budget-exhausted"]
+    assert notes == [{"type": "budget-exhausted", "j": j, "lower_bound": lower_bound}]
 
 
 def test_classify_memoryless():
