@@ -462,10 +462,9 @@ def cmd_sweep(args):
         family(name)
     rows = _sweep_rows(args, families)
 
-    exit_code = EXIT_OK
-    for _, bundle, report, _ in rows:
-        code = _verdict_exit(report, bundle.expected)
-        exit_code = max(exit_code, code)
+    codes = {_verdict_exit(report, bundle.expected) for _, bundle, report, _ in rows}
+    # A refuted claim in any row outranks a claim left open in another.
+    exit_code = next((c for c in (EXIT_REFUTED, EXIT_BUDGET) if c in codes), EXIT_OK)
 
     jcols = list(range(args.jmax + 1))
     if args.format == "json":

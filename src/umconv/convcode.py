@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import combinations
-from typing import NamedTuple
+from math import comb
 
 import numpy as np
 
@@ -289,7 +289,6 @@ def block_split_certificate(desc, budget=None):
 
 
 _F_TABLE_LIMIT = 250_000
-_ARRAY_TABLE_LIMIT = 1024
 
 
 class _Budget:
@@ -307,7 +306,7 @@ class _Budget:
 
 
 def _lookup(table, q, a, b):
-    return table[np.multiply(a, q, dtype=np.intp) + b]
+    return table.take(np.multiply(a, q, dtype=np.intp) + b)
 
 
 def _elementwise(op, a, b):
@@ -318,22 +317,21 @@ def _array_ops(field):
     """(add, mul, dtype): add(a, b) and mul(a, b) on numpy arrays of element
     codes of the given dtype, broadcasting like numpy arithmetic.
 
-    Fields up to _ARRAY_TABLE_LIMIT elements index flat q*q lookup tables
-    built from the field's own operations (uint8 up to 256 elements, uint16
-    above); larger fields apply those operations elementwise on int64 codes.
+    Fields whose codes fit uint8 index flat q*q uint8 lookup tables built
+    from the field's own operations; larger fields apply those operations
+    elementwise on int64 codes.
     """
     q = field.order
     ops = (field.add, field.mul)
-    if q > _ARRAY_TABLE_LIMIT:
+    if q > 256:
         ufuncs = [np.frompyfunc(lambda a, b, f=f: f(int(a), int(b)), 2, 1) for f in ops]
         return tuple(partial(_elementwise, u) for u in ufuncs) + (np.int64,)
-    dtype = np.uint8 if q <= 256 else np.uint16
     elems = range(q)
-    tables = [np.array([f(a, b) for a in elems for b in elems], dtype) for f in ops]
-    return tuple(partial(_lookup, t, q) for t in tables) + (dtype,)
+    tables = [np.array([f(a, b) for a in elems for b in elems], np.uint8) for f in ops]
+    return tuple(partial(_lookup, t, q) for t in tables) + (np.uint8,)
 
 
-class _Layer(NamedTuple):
+class _Layer:
     """Every size-w support S of H0, in lexicographic order, ready to solve
     H0_S x = t for any target t at once.
 
@@ -342,22 +340,31 @@ class _Layer(NamedTuple):
     first (past the rank G_S meets only zero entries of T_S t whenever the
     system is solvable, so only -H1 on the pivot columns counts); the mask
     of entries of T_S t past the rank (all zero exactly when H0_S x = t is
-    solvable); the number of free columns; and the slice
-    [start, start + count) of the row arrays.  One row per all-nonzero
-    assignment c of the free columns: pivot offsets -R_S[:, free] c, so the
-    pivot values are T_S t + offset, and carry offsets
-    -(H1_piv offset + H1_free c), so the carry -H1 x is G_S T_S t + offset.
-    Pivot offsets past the rank are 1: there T_S t is zero, so those entries
-    pass the all-nonzero test.
+    solvable); the number of free columns; the reduced rows of H0_S and -H1
+    on S, both pivot columns first; and, once built, the slice
+    [start, start + count) of the row arrays (start -1 until then).  One
+    row per all-nonzero assignment c of the free columns: pivot offsets
+    -R_S[:, free] c, so the pivot values are T_S t + offset, and carry
+    offsets -(H1_piv offset + H1_free c), so the carry -H1 x is
+    G_S T_S t + offset.  Pivot offsets past the rank are 1: there T_S t is
+    zero, so those entries pass the all-nonzero test.
     """
 
-    system: np.ndarray
-    beyond: np.ndarray
-    free: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    pivot_off: np.ndarray
-    carry_off: np.ndarray
+    __slots__ = (
+        "system", "beyond", "free", "reduced", "neg_h1",
+        "start", "count", "pivot_off", "carry_off",
+    )
+
+    def __init__(self, system, beyond, free, reduced, neg_h1):
+        self.system = system
+        self.beyond = beyond
+        self.free = free
+        self.reduced = reduced
+        self.neg_h1 = neg_h1
+        self.start = np.full(free.size, -1, dtype=np.intp)
+        self.count = np.zeros(free.size, dtype=np.intp)
+        self.pivot_off = np.zeros((0, reduced.shape[1]), dtype=reduced.dtype)
+        self.carry_off = np.zeros((0, reduced.shape[1]), dtype=reduced.dtype)
 
 
 class _ColumnSearch:
@@ -495,45 +502,53 @@ class _ColumnSearch:
 
     def _layer(self, w):
         """The weight-w layer, built on first use from one reduction per
-        support; rows are built per number of free columns, for all supports
-        with that number at once.
-
-        A support whose q^|free| steps exceed the budget left gets no rows:
-        any query that finds it solvable exhausts the budget before reading
-        rows, and the budget only shrinks.
-        """
+        support.  It has no rows yet: `_add_rows` builds them for the
+        supports a query has paid for."""
         layer = self._layers.get(w)
         if layer is not None:
             return layer
         kappa, dt = self.kappa, self._dtype
-        supports = list(combinations(range(self.n), w))
-        reductions = [self._reduction(s) for s in supports]
-        size = len(supports)
-        ranks = np.array([len(p) for p, _, _ in reductions], dtype=np.intp)
-        free = w - ranks
-        transform = np.array([t for _, _, t in reductions], dtype=dt)
-        # Columns of each support with its pivot columns first.
-        order = [
-            list(pivots) + [c for c in range(w) if c not in pivots]
-            for pivots, _, _ in reductions
-        ]
-        cols = np.array([[s[c] for c in o] for s, o in zip(supports, order)], np.intp)
+        size = comb(self.n, w)
+        ranks = np.empty(size, dtype=np.intp)
+        transform = np.empty((size, kappa, kappa), dtype=dt)
+        # Columns of each support and its reduced rows, pivot columns first;
+        # filled support by support, so no list of reductions is kept.
+        cols = np.empty((size, w), dtype=np.intp)
+        reduced = np.zeros((size, kappa, w), dtype=dt)
+        for i, support in enumerate(combinations(range(self.n), w)):
+            pivots, rows, trans = self._reduction(support)
+            order = list(pivots) + [c for c in range(w) if c not in pivots]
+            ranks[i] = len(pivots)
+            transform[i] = trans
+            cols[i] = [support[c] for c in order]
+            if rows:
+                reduced[i, : len(rows)] = [[r[c] for c in order] for r in rows]
         neg_h1 = np.moveaxis(self._neg_h1[:, cols], 0, 1)  # (size, kappa, w)
         carry = np.zeros((size, kappa, kappa), dtype=dt)
         carry[:, :, : min(w, kappa)] = neg_h1[:, :, :kappa]
-        count = np.zeros(size, dtype=np.intp)
-        groups = [np.zeros(0, np.intp)]
-        pivot_off, carry_off = [np.zeros((0, kappa), dt)], [np.zeros((0, kappa), dt)]
-        remaining = self.budget.remaining
+        carry_map = self._dot(carry[:, None], transform.swapaxes(1, 2)).swapaxes(1, 2)
+        layer = _Layer(
+            system=np.concatenate([transform, carry_map], axis=1),
+            beyond=np.arange(kappa) >= ranks[:, None],
+            free=w - ranks,
+            reduced=reduced,
+            neg_h1=neg_h1,
+        )
+        self._layers[w] = layer
+        return layer
+
+    def _add_rows(self, layer, idx):
+        """Build the rows of the supports idx of the layer, for all of them
+        with equal number of free columns at once."""
+        kappa, dt = self.kappa, self._dtype
+        w = layer.reduced.shape[2]
+        used = len(layer.pivot_off)
+        pivot_off, carry_off = [layer.pivot_off], [layer.carry_off]
+        free = layer.free[idx]
         for nfree in np.unique(free).tolist():
-            if remaining is not None and nfree and self.q**nfree > remaining:
-                continue
+            group = idx[free == nfree]
             rk = w - nfree
-            idx = np.flatnonzero(free == nfree)
-            free_cols = [(order[i][rk:], reductions[i][1]) for i in idx]
-            reduced = np.array(
-                [[[r[c] for c in fc] for r in rows] for fc, rows in free_cols], dt
-            ).reshape(idx.size, 1, rk, nfree)
+            reduced = layer.reduced[group, None, :rk, rk:]  # (m, 1, rk, nfree)
             # Every all-nonzero assignment of the free columns, one per row.
             combos = (self.q - 1) ** nfree
             grid = np.indices((self.q - 1,) * nfree, dtype=dt)
@@ -542,26 +557,14 @@ class _ColumnSearch:
             x = np.concatenate(
                 [offset, np.broadcast_to(assign, offset.shape[:2] + (nfree,))], axis=2
             )
-            groups.append(idx)
-            count[idx] = combos
-            carry_off.append(self._dot(neg_h1[idx, None], x).reshape(-1, kappa))
+            carry_off.append(self._dot(layer.neg_h1[group, None], x).reshape(-1, kappa))
             pad = np.ones(offset.shape[:2] + (kappa - rk,), dtype=dt)
             pivot_off.append(np.concatenate([offset, pad], axis=2).reshape(-1, kappa))
-        grouped = np.concatenate(groups)
-        start = np.zeros(size, dtype=np.intp)
-        start[grouped] = np.cumsum(count[grouped]) - count[grouped]
-        carry_map = self._dot(carry[:, None], transform.swapaxes(1, 2)).swapaxes(1, 2)
-        layer = _Layer(
-            system=np.concatenate([transform, carry_map], axis=1),
-            beyond=np.arange(kappa) >= ranks[:, None],
-            free=free,
-            start=start,
-            count=count,
-            pivot_off=np.concatenate(pivot_off),
-            carry_off=np.concatenate(carry_off),
-        )
-        self._layers[w] = layer
-        return layer
+            layer.count[group] = combos
+            layer.start[group] = used + combos * np.arange(group.size)
+            used += combos * group.size
+        layer.pivot_off = np.concatenate(pivot_off)
+        layer.carry_off = np.concatenate(carry_off)
 
     def _solve_all(self, layer, t):
         """(T_S t, G_S T_S t, solvable) for every support S of the layer."""
@@ -576,19 +579,23 @@ class _ColumnSearch:
         set, so scanning all supports and keeping the everywhere-nonzero
         solutions enumerates each solution once.  The budget is charged one
         step per support and q^|free| per solvable support with free columns,
-        one step per assignment of its free columns.
+        one step per assignment of its free columns.  Both charges come
+        before the work they pay for: the supports' reductions, and the rows
+        of supports that have none yet, so rows never outnumber steps spent.
         """
         key = (t_enc, w)
         cached = self._sol_cache.get(key)
         if cached is not None:
             return cached
+        self.budget.spend(comb(self.n, w))
         layer = self._layer(w)
         rhs, base, solvable = self._solve_all(layer, self._dec(t_enc))
         hit = np.flatnonzero(solvable)
         per_free = np.bincount(layer.free[hit], minlength=w + 1).tolist()
-        self.budget.spend(
-            solvable.size + sum(c * self.q**f for f, c in enumerate(per_free) if f)
-        )
+        self.budget.spend(sum(c * self.q**f for f, c in enumerate(per_free) if f))
+        missing = hit[layer.start[hit] < 0]
+        if missing.size:
+            self._add_rows(layer, missing)
         counts = layer.count[hit]
         firsts = layer.start[hit] - (np.cumsum(counts) - counts)
         rows = np.arange(counts.sum()) + np.repeat(firsts, counts)

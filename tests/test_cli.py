@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -269,6 +270,18 @@ def test_verify_rejects_parity_not_row_reduced(tmp_path, capsys):
     assert err.count("\n") == 1 and "not row reduced" in err
 
 
+def test_verify_field_above_256_elements(capsys):
+    # GF(257) codes do not fit uint8 lookup tables; the column search and the
+    # coset-leader table apply the field's own operations elementwise.
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "sec3", "--q", "257", "--n", "5", "--k", "3",
+        "--delta", "1",
+    )
+    assert code == EXIT_OK
+    assert "column distances  d0=2 d1=3 d2=3 d3=3 d4=3" in out
+    assert "verdicts mds=confirmed smds=confirmed mdp=confirmed" in out
+
+
 def test_verify_inconclusive_claim_exits_3(capsys):
     # --jmax 0 stops before window M = 1, so the claimed mds and smds stay
     # inconclusive although no budget ran out.
@@ -474,6 +487,29 @@ def test_sweep_json(capsys):
     assert row["family"] == "sec4"
     assert (row["n"], row["k"], row["delta"]) == (3, 2, 1)
     assert row["verdicts"]["mds"] == "confirmed"
+
+
+def test_sweep_refutation_outranks_open_claim(capsys, monkeypatch):
+    # At window 1 over GF(5), sec4 (5,3,2) leaves its MDS claim open, so the
+    # sweep exits 3.  Window 1 refutes strong MDS for sec5p2 (6,4,2); once
+    # that row claims it, the sweep exits 1 although the open claim remains.
+    args = ("sweep", "--q", "5", "--jmax", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_BUDGET
+    real = cli.construct_family
+
+    def claim_smds(spec, **kwargs):
+        bundle = real(spec, **kwargs)
+        if bundle.family != "sec5p2":
+            return bundle
+        return dataclasses.replace(bundle, expected={**bundle.expected, "smds": True})
+
+    monkeypatch.setattr(cli, "construct_family", claim_smds)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_REFUTED
+    verdicts = {(r["family"], r["n"], r["k"], r["delta"]): r["verdicts"] for r in json.loads(out)}
+    assert verdicts[("sec4", 5, 3, 2)]["mds"] == "inconclusive"
+    assert verdicts[("sec5p2", 6, 4, 2)]["smds"] == "refuted"
 
 
 def test_sweep_family_validation(capsys):

@@ -4,6 +4,7 @@ free-distance certificates, classification, minimality."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from umconv import convcode
@@ -354,24 +355,26 @@ def _batched_cases(q):
     weight layers above kappa have supports with free columns."""
     rng = random.Random(100 + q)
     f = field_for_order(q)
-    shapes = ((2, 1), (3, 1), (4, 2), (4, 1), (5, 3))
+    shapes = ((2, 1), (3, 1)) if q > 256 else ((2, 1), (3, 1), (4, 2), (4, 1), (5, 3))
     return [
         _random_unit_memory(rng, f, n, kappa, rng.randint(1, kappa))
         for n, kappa in shapes
     ]
 
 
-@pytest.mark.parametrize("route", ["table", "first-hit", "elementwise"])
-@pytest.mark.parametrize("q", [8, 9])
-def test_batched_search_over_gf8_and_gf9(q, route, monkeypatch):
+def _layer_rows(engine):
+    return sum(len(layer.pivot_off) for layer in engine._layers.values())
+
+
+@pytest.mark.parametrize("route", ["table", "first-hit"])
+@pytest.mark.parametrize("q", [8, 9, 257])
+def test_batched_search_against_support_and_brute_force(q, route, monkeypatch):
     # GF(8) has characteristic 2; GF(9) is an odd-characteristic extension
-    # field, where negation is not the identity.  "first-hit" drops the
-    # coset-leader table; "elementwise" replaces the lookup tables by the
-    # field's own operations, as for fields above _ARRAY_TABLE_LIMIT.
+    # field, where negation is not the identity; GF(257) does not fit uint8
+    # lookup tables, so its arithmetic is the field's own, elementwise.
+    # "first-hit" drops the coset-leader table.
     if route == "first-hit":
         monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
-    if route == "elementwise":
-        monkeypatch.setattr(convcode, "_ARRAY_TABLE_LIMIT", 2)
     f = field_for_order(q)
     assert (f.neg(1) == 1) == (q == 8)
     rows_with_free_columns = 0
@@ -379,6 +382,7 @@ def test_batched_search_over_gf8_and_gf9(q, route, monkeypatch):
         desc = ConvCodeDesc.from_parity(pm)
         engine = _ColumnSearch(desc)
         assert (engine._ftable is None) == (route == "first-hit")
+        assert (engine._dtype == np.uint8) == (q <= 256)
         for j in range(3):
             d = engine.distance(j)
             assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
@@ -390,10 +394,9 @@ def test_batched_search_over_gf8_and_gf9(q, route, monkeypatch):
 
 
 def test_batched_search_every_budget():
-    # A layer built with less budget left than q^|free| keeps no rows for
-    # such supports; a query that finds one solvable must exhaust the budget
-    # before it reads rows.  So every budget below the exact need raises,
-    # and every query answered under any budget has the unlimited answer.
+    # Every budget below the exact need raises, every query answered under
+    # any budget has the unlimited answer, and the layers never hold more
+    # rows than the budget: rows are built only for supports already paid.
     pm = _random_unit_memory(random.Random(3), F8, 5, 2, 1)
     desc = ConvCodeDesc.from_parity(pm)
 
@@ -408,14 +411,29 @@ def test_batched_search_every_budget():
     big = 10**12
     want, full = run(big)
     need = big - full.budget.remaining
-    skipped = 0
+    assert _layer_rows(full) <= need
     for budget in range(need + 1):
         dists, engine = run(budget)
         assert dists == (want if budget == need else None), budget
         assert all(full._sol_cache[key] == v for key, v in engine._sol_cache.items())
-        for layer in engine._layers.values():
-            skipped += int(((layer.count == 0) & (layer.free > 0)).sum())
-    assert skipped > 0
+        assert _layer_rows(engine) <= budget
+
+
+@pytest.mark.parametrize(
+    "budget, weights", [(100, []), (3_000, [1, 5]), (30_000, [1, 2, 5, 6])]
+)
+def test_layer_rows_bounded_by_budget(budget, weights):
+    # Without a budget, sec5p2 (10,6,4) over GF(9) builds 76,975 rows.  A
+    # budget pays for a layer's supports before they are reduced and for a
+    # support's rows before they are built: 100 steps run out on the 252
+    # supports of weight 5 before any layer exists.
+    b = sec5_part2_code(9, 2, 2)
+    engine = _ColumnSearch(b.desc, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        for j in range(4):
+            engine.distance(j)
+    assert sorted(engine._layers) == weights
+    assert _layer_rows(engine) <= budget
 
 
 def test_column_distance_fixture_vs_support():
