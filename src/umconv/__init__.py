@@ -20,8 +20,6 @@ from .blockcode import (
     RootSpec,
     base_field_closure_check,
     evaluation_parity_matrix,
-    generator_from_roots,
-    is_mds_block,
     min_distance,
     realify,
     root_parity_matrix,
@@ -35,7 +33,6 @@ from .convcode import (
     column_distance,
     dfree_bounds,
     minimality_check,
-    omit_rows,
     singleton_and_indices,
     sliding_matrix,
     unit_memory_parity,
@@ -68,13 +65,11 @@ __all__ = [
     "solve_on_support",
     "BlockCode",
     "RootSpec",
-    "generator_from_roots",
     "base_field_closure_check",
     "root_parity_matrix",
     "evaluation_parity_matrix",
     "realify",
     "min_distance",
-    "is_mds_block",
     "PolyMatrix",
     "ConvCodeDesc",
     "ConvReport",
@@ -86,7 +81,6 @@ __all__ = [
     "dfree_bounds",
     "minimality_check",
     "classify",
-    "omit_rows",
     "Bundle",
     "FamilySpec",
     "admissible_parameters",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from .galois import (
     ExtField,
@@ -36,8 +35,12 @@ class ZeroMultiplier(ValueError):
     """Column multiplier of an evaluation parity check is zero."""
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Subset search exceeded its budget before finding a witness."""
+class BudgetExceeded(RuntimeError):
+    """Search budget exhausted; lower_bound holds the best proven bound."""
+
+    def __init__(self, message, lower_bound=None):
+        super().__init__(message)
+        self.lower_bound = lower_bound
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,6 @@ class RootSpec:
         )
 
 
-def _as_roots(spec_or_roots):
-    if isinstance(spec_or_roots, RootSpec):
-        return spec_or_roots.ambient, spec_or_roots.roots()
-    raise TypeError("expected a RootSpec")
-
-
-def generator_from_roots(spec):
-    """Monic generator polynomial with the given roots, ascending coefficients."""
-    field, roots = _as_roots(spec)
-    if len(set(roots)) != len(roots):
-        raise DuplicateRoots(f"repeated root in {roots}")
-    return poly_from_roots(field, roots)
-
-
 def base_field_closure_check(spec):
     """Whether the root set over GF(q^2) defines a polynomial over GF(q).
 
@@ -79,7 +68,7 @@ def base_field_closure_check(spec):
     expanded polynomial has all coefficients in the base field; the two
     conditions are equivalent and both are evaluated.
     """
-    field, roots = _as_roots(spec)
+    field, roots = spec.ambient, spec.roots()
     if not isinstance(field, ExtField):
         raise TypeError("closure check needs roots over an ExtField")
     if len(set(roots)) != len(roots):
@@ -191,8 +180,7 @@ class BlockCode:
         }
 
 
-def block_code_from_parity(field, parity, generator_poly=None, modulus_poly=None,
-                           budget=None):
+def block_code_from_parity(field, parity, generator_poly=None, modulus_poly=None):
     n = parity.cols
     k = n - rank(parity)
     if generator_poly is not None:
@@ -203,7 +191,7 @@ def block_code_from_parity(field, parity, generator_poly=None, modulus_poly=None
             _, rem = poly_divmod(field, modulus_poly, gen)
             if rem:
                 raise ValueError("generator polynomial does not divide the modulus")
-    d = min_distance(parity, budget=budget)
+    d = min_distance(parity)
     return BlockCode(
         field=field,
         n=n,
@@ -216,16 +204,15 @@ def block_code_from_parity(field, parity, generator_poly=None, modulus_poly=None
     )
 
 
-def min_distance(code_or_parity, budget=None, cross_check=None):
+def min_distance(parity, budget=None):
     """Exact minimum distance of the kernel of a parity-check matrix.
 
     Computed as the smallest w such that some w columns of the parity check
-    are linearly dependent.  When the codeword count q^k is at most 2^20 (or
-    cross_check is forced on) the value is recomputed by exhaustive codeword
+    are linearly dependent, spending at most ``budget`` column tests (None
+    is unlimited) before raising BudgetExceeded.  When the codeword count
+    q^k is at most 2^20 the value is recomputed by exhaustive codeword
     enumeration and any disagreement raises; the two routes are independent.
     """
-    parity = code_or_parity.parity if isinstance(code_or_parity, BlockCode) else code_or_parity
-    field = parity.field
     r = rank(parity)
     if r == 0:
         return 1
@@ -234,9 +221,7 @@ def min_distance(code_or_parity, budget=None, cross_check=None):
     if k <= 0:
         raise ValueError("code has no nonzero codewords")
     d = _dependency_min_weight(parity, r, budget)
-    if cross_check is None:
-        cross_check = field.order**k <= _ENUMERATION_LIMIT
-    if cross_check:
+    if parity.field.order**k <= _ENUMERATION_LIMIT:
         d_enum = _enumeration_min_weight(parity)
         if d_enum != d:
             raise RuntimeError(
@@ -268,7 +253,7 @@ def _dependency_min_weight(parity, r, budget=None):
         for i, vec in enumerate(later):
             if remaining is not None:
                 if remaining == 0:
-                    raise SearchBudgetExceeded("column subset budget exhausted")
+                    raise BudgetExceeded("column subset budget exhausted")
                 remaining -= 1
             prow = next((p for p, x in enumerate(vec) if x), None)
             if prow is None:
@@ -346,24 +331,3 @@ def _enumeration_min_weight(parity):
     weights = (words != 0).sum(axis=1)
     nonzero = weights[weights > 0]
     return int(nonzero.min())
-
-
-def is_mds_block(code):
-    """MDS test by subset rank: every (n-k)-subset of parity columns must be
-    independent.  Returns (True, None) or (False, violating column subset).
-    """
-    parity = code.parity if isinstance(code, BlockCode) else code
-    n = parity.cols
-    r = rank(parity)
-    verdict = True
-    witness = None
-    for subset in combinations(range(n), r):
-        sub = parity.take_cols(subset)
-        if rank(sub) < r:
-            verdict = False
-            witness = subset
-            break
-    if isinstance(code, BlockCode):
-        if verdict != code.is_mds:
-            raise RuntimeError("subset test disagrees with the distance computation")
-    return verdict, witness

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .blockcode import min_distance
+from .blockcode import BudgetExceeded, min_distance
 from .galois import poly_add, poly_deg, poly_gcd, poly_mul, poly_neg, poly_trim
 from .linalg import FMatrix, rank, rref
 
@@ -31,18 +31,6 @@ class RankDeficient(ValueError):
 
 class RowCountExceeded(ValueError):
     """Degree-1 coefficient has more rows than the degree-0 coefficient."""
-
-
-class NotMaximalDegreeRow(ValueError):
-    """Row deletion is only defined for rows of maximal row degree."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Search budget exhausted; lower_bound holds the best proven bound."""
-
-    def __init__(self, message, lower_bound=None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
 
 
 class PropertyViolation(RuntimeError):
@@ -904,21 +892,3 @@ def _poly_det(field, rows):
         return acc
 
     return det(tuple(range(size)))
-
-
-def omit_rows(pm, which):
-    """Delete the given rows, all of which must have the maximal row degree."""
-    which = sorted(set(which))
-    degs = pm.row_degrees()
-    vmax = max(degs)
-    for r in which:
-        if not 0 <= r < pm.rows:
-            raise ValueError(f"row {r} of {pm.rows}")
-        if degs[r] != vmax:
-            raise NotMaximalDegreeRow(
-                f"row {r} has degree {degs[r]}, maximal degree is {vmax}"
-            )
-    keep = [r for r in range(pm.rows) if r not in set(which)]
-    if not keep:
-        raise ValueError("cannot delete every row")
-    return PolyMatrix(pm.field, [m.take_rows(keep) for m in pm.coeffs])

@@ -357,17 +357,15 @@ def make_field(p, m, modulus=None):
 
 def field_for_order(q, modulus=None):
     """GF(q) for a prime power q, factoring q as p^m."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return make_field(p, m, modulus=modulus)
-    raise ValueError(f"{q} is not a prime power")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    m = 0
+    while q > 1:
+        q //= p
+        m += 1
+    return make_field(p, m, modulus=modulus)
 
 
 class ExtField:

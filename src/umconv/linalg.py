@@ -40,10 +40,6 @@ class FMatrix:
     def zero(cls, field, rows, cols):
         return cls(field, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def row(self, r):
         if not 0 <= r < self.rows:
             raise IndexOutOfRange(f"row {r} of {self.rows}")
@@ -66,12 +62,6 @@ class FMatrix:
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self._data)
 
-    def row_is_zero(self, r):
-        return all(x == 0 for x in self.row(r))
-
-    def transpose(self):
-        return FMatrix(self.field, zip(*self._data)) if self.rows else FMatrix(self.field, [])
-
     def take_rows(self, indices):
         return FMatrix(self.field, [self.row(r) for r in indices])
 
@@ -87,19 +77,6 @@ class FMatrix:
         if self.rows and other.rows and other.cols != self.cols:
             raise ValueError("column count mismatch")
         return FMatrix(self.field, self._data + other._data)
-
-    def matmul(self, other):
-        if other.field != self.field:
-            raise FieldMismatch("product over different fields")
-        if self.cols != other.rows:
-            raise ValueError(f"inner dimensions {self.cols} != {other.rows}")
-        f = self.field
-        cols = other.transpose()._data
-        out = [
-            [_dot(f, row, col) for col in cols]
-            for row in self._data
-        ]
-        return FMatrix(self.field, out)
 
     def matvec(self, v):
         v = tuple(v)

@@ -11,7 +11,11 @@ import time
 
 import pytest
 
-from umconv.blockcode import min_distance, realify
+from umconv.blockcode import (
+    _dependency_min_weight,
+    _enumeration_min_weight,
+    realify,
+)
 from umconv.cli import EXIT_OK, main
 from umconv.constructions import FAMILIES
 from umconv.convcode import Verdict, minimality_check
@@ -147,8 +151,8 @@ def test_criterion_5_property_suites(sweep_results, capsys):
         )
         if rank(mat) == n:
             continue
-        assert min_distance(mat, cross_check=False) == min_distance(
-            mat, cross_check=True
+        assert _dependency_min_weight(mat, rank(mat)) == _enumeration_min_weight(
+            mat
         )
         agreements += 1
 

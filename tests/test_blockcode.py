@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 from umconv import blockcode
 from umconv.blockcode import (
-    BlockCode,
+    BudgetExceeded,
     DuplicatePoints,
     DuplicateRoots,
     RootSpec,
-    SearchBudgetExceeded,
     _dependency_min_weight,
     _enumeration_min_weight,
     base_field_closure_check,
     block_code_from_parity,
     downcast_poly,
     evaluation_parity_matrix,
-    generator_from_roots,
-    is_mds_block,
     min_distance,
     realify,
     root_parity_matrix,
@@ -32,6 +29,7 @@ from umconv.galois import (
     make_field,
     poly_deg,
     poly_eval,
+    poly_from_roots,
     poly_mod,
 )
 from umconv.linalg import FMatrix, columns_independent, nullspace, rank
@@ -84,7 +82,7 @@ def test_generator_from_roots_and_closure():
     spec = RootSpec(ambient=ext, step=ext.beta, lo=-2, hi=2)
     assert len(spec.roots()) == 5
     assert base_field_closure_check(spec)
-    gen = generator_from_roots(spec)
+    gen = poly_from_roots(ext, spec.roots())
     for r in spec.roots():
         assert poly_eval(ext, gen, r) == 0
     down = downcast_poly(ext, gen)
@@ -93,7 +91,7 @@ def test_generator_from_roots_and_closure():
     open_spec = RootSpec(ambient=ext, step=ext.beta, lo=0, hi=1)
     assert not base_field_closure_check(open_spec)
     with pytest.raises(ValueError):
-        downcast_poly(ext, generator_from_roots(open_spec))
+        downcast_poly(ext, poly_from_roots(ext, open_spec.roots()))
 
 
 def test_rootspec_base_point():
@@ -131,20 +129,20 @@ def test_min_distance_dual_routes_random():
         if rank(mat) == n:
             continue
         count += 1
-        d_search = min_distance(mat, cross_check=False)
-        d_enum = min_distance(mat, cross_check=True)
+        d_search = _dependency_min_weight(mat, rank(mat))
+        d_enum = _enumeration_min_weight(mat)
         assert d_search == d_enum
 
 
 def test_min_distance_budget():
     roots = [F8.pow(F8.theta, i) for i in range(4)]
     mat = root_parity_matrix(F8, roots, 7)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         min_distance(mat, budget=3)
     # One step per column test: an MDS parity of rank 4 needs every
     # independent set of up to 3 columns, C(7,1) + ... + C(7,4) = 98 tests.
     assert min_distance(mat, budget=98) == 5
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         min_distance(mat, budget=97)
 
 
@@ -189,7 +187,7 @@ def test_min_distance_matches_subset_oracle():
             want = _oracle_min_distance(mat)
             if trial >= 8:
                 assert want <= trial - 7
-            assert min_distance(mat, cross_check=False) == want, (q, rows)
+            assert _dependency_min_weight(mat, rank(mat)) == want, (q, rows)
     f7 = field_for_order(7)
     zero_col = FMatrix(f7, [[1, 0, 2, 3], [4, 0, 5, 6], [5, 0, 0, 2]])
     assert min_distance(zero_col) == 1
@@ -226,7 +224,7 @@ def test_min_distance_mds_up_to_length_12():
         cases.append(root_parity_matrix(f11, roots, 10))
     for mat in cases:
         r = rank(mat)
-        assert min_distance(mat, cross_check=False) == r + 1
+        assert _dependency_min_weight(mat, r) == r + 1
         if 11 ** (mat.cols - r) <= 2**20:
             assert _enumeration_min_weight(mat) == r + 1
 
@@ -253,8 +251,6 @@ def test_min_distance_routes_agree_property(mat):
 def test_block_code_from_parity():
     roots = [F8.pow(F8.theta, i) for i in range(5)]
     mat = root_parity_matrix(F8, roots, 7)
-    from umconv.galois import poly_from_roots
-
     gen = poly_from_roots(F8, roots)
     modulus = poly_from_roots(F8, [F8.pow(F8.theta, i) for i in range(7)])
     code = block_code_from_parity(F8, mat, generator_poly=gen, modulus_poly=modulus)
@@ -271,21 +267,6 @@ def test_block_code_from_parity():
     bad_mod = poly_from_roots(F8, [1, 2, 3, 4, 5, 7])
     with pytest.raises(ValueError):
         block_code_from_parity(F8, mat, generator_poly=gen, modulus_poly=bad_mod)
-
-
-def test_is_mds_block():
-    roots = [F8.pow(F8.theta, i) for i in range(3)]
-    rs = block_code_from_parity(F8, root_parity_matrix(F8, roots, 7))
-    flag, witness = is_mds_block(rs)
-    assert flag and witness is None
-    f2 = field_for_order(2)
-    cols = [[(c >> b) & 1 for c in range(1, 8)] for b in range(3)]
-    hamming = block_code_from_parity(f2, FMatrix(f2, cols))
-    flag, witness = is_mds_block(hamming)
-    assert not flag
-    assert witness is not None
-    sub = hamming.parity.take_cols(witness)
-    assert rank(sub) < len(witness)
 
 
 def test_realify_kernel_exhaustive_q4():
@@ -336,14 +317,3 @@ def test_realify_row_layout():
     got = realify(imag)
     assert got.rows == 1
     assert got.to_lists() == [[1, 3]]
-
-
-def test_blockcode_consistency_guard():
-    f = field_for_order(3)
-    parity = FMatrix(f, [[1, 1, 1]])
-    # The [3,2,2] code is MDS; a bundle claiming otherwise is inconsistent.
-    code = BlockCode(
-        field=f, n=3, k=2, d=2, is_mds=False, parity=parity
-    )
-    with pytest.raises(RuntimeError):
-        is_mds_block(code)

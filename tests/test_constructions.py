@@ -145,7 +145,7 @@ def test_bundle_structure_invariants():
         # Padding is on top of the degree-1 coefficient.
         pad = kappa - b.h1.rows
         for r in range(pad):
-            assert b.parity.coefficient(1).row_is_zero(r)
+            assert not any(b.parity.coefficient(1).row(r))
         assert b.parity.coefficient(1).take_rows(
             range(pad, kappa)
         ) == b.h1

@@ -14,7 +14,6 @@ from umconv.convcode import (
     BudgetExceeded,
     ConvCodeDesc,
     InvalidParams,
-    NotMaximalDegreeRow,
     PolyMatrix,
     PropertyViolation,
     RankDeficient,
@@ -26,7 +25,6 @@ from umconv.convcode import (
     column_distance,
     dfree_bounds,
     minimality_check,
-    omit_rows,
     singleton_and_indices,
     sliding_matrix,
     unit_memory_parity,
@@ -55,7 +53,7 @@ def _random_unit_memory(rng, f, n, kappa, h1_rows):
         )
         if rank(h1) != h1_rows:
             continue
-        if any(h1.row_is_zero(r) for r in range(h1.rows)):
+        if not all(any(h1.row(r)) for r in range(h1.rows)):
             continue
         pm = unit_memory_parity(h0, h1)
         if rank(pm.leading_coefficients()) == kappa:
@@ -150,7 +148,7 @@ def test_desc_from_parity():
     with pytest.raises(RankDeficient):
         ConvCodeDesc.from_parity(bad)
     # kappa = n leaves no message symbols.
-    square = PolyMatrix(F3, (FMatrix.identity(F3, 3),))
+    square = PolyMatrix(F3, (FMatrix(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),))
     with pytest.raises(InvalidParams):
         ConvCodeDesc.from_parity(square)
     # Memory above one is rejected: the search reads coefficients 0 and 1 only.
@@ -610,7 +608,7 @@ def test_minimality_fixture_parities():
 
 
 def test_minimality_not_row_reduced():
-    c0 = FMatrix.identity(F2, 2)
+    c0 = FMatrix(F2, [[1, 0], [0, 1]])
     c1 = FMatrix(F2, [[1, 1], [1, 1]])
     pm = PolyMatrix(F2, (c0, c1))
     result = minimality_check(pm)
@@ -637,24 +635,6 @@ def test_minimality_rank_deficient():
         minimality_check(
             PolyMatrix(F2, (FMatrix(F2, [[1, 0], [0, 0]]),))
         )
-
-
-def test_omit_rows():
-    b3 = build_fixture(fixture_by_number(3))
-    pm = b3.parity  # all three rows have degree 1
-    kept = omit_rows(pm, (2,))
-    assert kept.rows == 2
-    assert kept.coefficient(0) == pm.coefficient(0).take_rows((0, 1))
-    assert kept.coefficient(1) == pm.coefficient(1).take_rows((0, 1))
-    b1 = build_fixture(fixture_by_number(1))
-    with pytest.raises(NotMaximalDegreeRow):
-        omit_rows(b1.parity, (0,))  # row 0 has degree 0, max is 1
-    with pytest.raises(ValueError):
-        omit_rows(pm, (0, 1, 2))
-    # Dropping every degree-1 row leaves a memoryless parity.
-    b2 = build_fixture(fixture_by_number(2))
-    trimmed = omit_rows(b2.parity, (2, 3))
-    assert trimmed.memory == 0
 
 
 def test_verdict_values():

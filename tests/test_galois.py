@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from umconv import galois
 from umconv.galois import (
     DegreeMismatch,
     ExtField,
@@ -148,6 +149,18 @@ def test_field_validation():
         field_for_order(6)
     with pytest.raises(ValueError):
         field_for_order(12)
+    with pytest.raises(ValueError):
+        field_for_order(1)
+
+
+def test_field_for_order_factors_once(monkeypatch):
+    # The characteristic is q's one prime factor, found by trial division
+    # up to sqrt(q), not by a primality test of every p <= q.
+    calls = []
+    is_prime = galois._is_prime
+    monkeypatch.setattr(galois, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert field_for_order(1_000_003).order == 1_000_003
+    assert len(calls) <= 1
 
 
 def test_element_str():

@@ -53,10 +53,8 @@ def test_constructors_and_access():
     assert m[1, 2] == 1
     assert m.to_lists() == [[1, 2, 0], [0, 1, 1]]
     assert FMatrix.zero(F3, 2, 2).is_zero()
-    eye = FMatrix.identity(F3, 3)
-    assert eye.matmul(m.transpose()).transpose() == m
-    assert not m.row_is_zero(0)
-    assert FMatrix.zero(F3, 1, 3).row_is_zero(0)
+    assert any(m.row(0))
+    assert not any(FMatrix.zero(F3, 1, 3).row(0))
     with pytest.raises(IndexOutOfRange):
         m.row(2)
     with pytest.raises(IndexOutOfRange):
@@ -72,8 +70,6 @@ def test_field_mismatch():
     b = FMatrix(F3, [[1]])
     with pytest.raises(FieldMismatch):
         a.vstack(b)
-    with pytest.raises(FieldMismatch):
-        a.matmul(b)
 
 
 def test_take_and_stack():
@@ -82,7 +78,6 @@ def test_take_and_stack():
     assert m.take_cols((1,)).to_lists() == [[1], [0], [2]]
     top = m.take_rows(range(1))
     assert top.vstack(m.take_rows(range(1, 3))) == m
-    assert m.transpose().transpose() == m
 
 
 def test_matmul_matvec_naive():
@@ -90,14 +85,6 @@ def test_matmul_matvec_naive():
     for _ in range(30):
         f = rng.choice((F2, F3, F8))
         a = _random_matrix(rng, f, rng.randint(1, 4), rng.randint(1, 4))
-        b = _random_matrix(rng, f, a.cols, rng.randint(1, 4))
-        prod = a.matmul(b)
-        for i in range(a.rows):
-            for j in range(b.cols):
-                want = 0
-                for t in range(a.cols):
-                    want = f.add(want, f.mul(a[i, t], b[t, j]))
-                assert prod[i, j] == want
         v = tuple(rng.randrange(f.q) for _ in range(a.cols))
         got = a.matvec(v)
         for i in range(a.rows):
@@ -122,7 +109,7 @@ def test_rref_canonical_form():
                 if other != i:
                     assert reduced[other, c] == 0
         for i in range(r, reduced.rows):
-            assert reduced.row_is_zero(i)
+            assert not any(reduced.row(i))
         # Row space is preserved.
         stacked = mat.vstack(reduced)
         assert rank(stacked) == r
