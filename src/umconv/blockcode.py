@@ -210,8 +210,10 @@ def min_distance(parity, budget=None):
     Computed as the smallest w such that some w columns of the parity check
     are linearly dependent, spending at most ``budget`` column tests (None
     is unlimited) before raising BudgetExceeded.  When the codeword count
-    q^k is at most 2^20 the value is recomputed by exhaustive codeword
-    enumeration and any disagreement raises; the two routes are independent.
+    q^k is at most 2^20 the value is recomputed by exhaustive enumeration of
+    one codeword per line, (q^k - 1)/(q - 1) words, since scalar multiples
+    share a weight; any disagreement raises, and the two routes are
+    independent.
     """
     r = rank(parity)
     if r == 0:
@@ -307,6 +309,14 @@ def _op_tables(field):
 
 
 def _enumeration_min_weight(parity):
+    """Minimum weight of the kernel, by enumerating one codeword per line.
+
+    Scalar multiples of a codeword share its weight, so it suffices to
+    weigh, for each i, the words b_i + span(b_{i+1}, ..., b_{k-1}) of the
+    nullspace basis: the words whose first nonzero coefficient is at i,
+    scaled to 1.  That is (q^k - 1)/(q - 1) words, and the largest array
+    holds q^(k-1) of them.
+    """
     import numpy as np
 
     from .linalg import nullspace
@@ -322,12 +332,13 @@ def _enumeration_min_weight(parity):
     mul = np.array(
         [[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=dtype
     )
-    words = np.zeros((1, n), dtype=dtype)
+    span = np.zeros((1, n), dtype=dtype)
     scalars = np.arange(q, dtype=dtype)
-    for vec in basis:
-        v = np.array(vec, dtype=dtype)
-        scaled = mul[scalars[:, None], v[None, :]]
-        words = add[words[None, :, :], scaled[:, None, :]].reshape(-1, n)
-    weights = (words != 0).sum(axis=1)
-    nonzero = weights[weights > 0]
-    return int(nonzero.min())
+    least = []
+    for i in range(len(basis) - 1, -1, -1):
+        v = np.array(basis[i], dtype=dtype)
+        least.append(int(np.count_nonzero(add[v, span], axis=1).min()))
+        if i:
+            scaled = mul[scalars[:, None], v[None, :]]
+            span = add[span[None, :, :], scaled[:, None, :]].reshape(-1, n)
+    return min(least)

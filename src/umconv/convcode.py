@@ -255,7 +255,7 @@ def dfree_bounds(desc, block_d, d0, dm=None):
     return lower, upper
 
 
-def block_split_certificate(desc, budget=None):
+def block_split_certificate(desc):
     """Exact distances (block_d, d0, dm) of the three block codes of H(D).
 
     block_d is None when the stacked [H0; H1nz] has full column rank, i.e.
@@ -268,11 +268,11 @@ def block_split_certificate(desc, budget=None):
         h1nz = h1.take_rows(data_rows)
         stacked = h0.vstack(h1nz)
         full_rank = rank(stacked) == desc.n
-        block_d = None if full_rank else min_distance(stacked, budget=budget)
-        d0 = min_distance(h0, budget=budget)
-        dm = min_distance(h1nz, budget=budget)
+        block_d = None if full_rank else min_distance(stacked)
+        d0 = min_distance(h0)
+        dm = min_distance(h1nz)
         return block_d, d0, dm
-    d0 = min_distance(h0, budget=budget)
+    d0 = min_distance(h0)
     return d0, d0, None
 
 

@@ -230,8 +230,8 @@ def test_min_distance_mds_up_to_length_12():
 
 
 @st.composite
-def _small_parity(draw):
-    f = field_for_order(draw(st.sampled_from((2, 3, 4, 5))))
+def _small_parity(draw, sizes=(2, 3, 4, 5)):
+    f = field_for_order(draw(st.sampled_from(sizes)))
     n = draw(st.integers(2, 6))
     rows = draw(st.integers(1, 4))
     entry = st.integers(0, f.q - 1)
@@ -246,6 +246,82 @@ def test_min_distance_routes_agree_property(mat):
     r = rank(mat)
     assume(r < mat.cols)
     assert _dependency_min_weight(mat, r) == _enumeration_min_weight(mat)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_parity((7, 8, 9, 11)))
+def test_min_distance_routes_agree_large_fields_property(mat):
+    # One codeword per line drops a factor q - 1 of the words, the most here.
+    r = rank(mat)
+    assume(r < mat.cols)
+    assert _dependency_min_weight(mat, r) == _enumeration_min_weight(mat)
+
+
+def _kernel_oracle_min_weight(parity):
+    """Least weight of a nonzero x in F_q^n with parity.matvec(x) == 0."""
+    return min(
+        sum(1 for c in x if c)
+        for x in itertools.product(range(parity.field.q), repeat=parity.cols)
+        if any(x) and not any(parity.matvec(x))
+    )
+
+
+def test_enumeration_matches_kernel_oracle():
+    rng = random.Random(307)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field_for_order(q)
+        max_n = max(n for n in range(2, 11) if q**n <= 4096)
+        for trial in range(6):
+            n = rng.randint(2, max_n)
+            if trial == 0:  # k = 1: [I | c] has a one-dimensional kernel
+                rows = [
+                    [int(i == j) for j in range(n - 1)] + [rng.randrange(q)]
+                    for i in range(n - 1)
+                ]
+            else:
+                rows = _random_parity(rng, f, n, rng.randint(1, n - 1), trial % 2)
+            if trial == 4:  # a zero column: d = 1
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            if trial == 5:  # a column repeated up to a scalar: d <= 2
+                src, dst = rng.sample(range(n), 2)
+                c = rng.randrange(1, q)
+                for row in rows:
+                    row[dst] = f.mul(c, row[src])
+            mat = FMatrix(f, rows)
+            if trial == 0:
+                assert rank(mat) == n - 1
+            want = _kernel_oracle_min_weight(mat)
+            if trial >= 4:
+                assert want <= trial - 3
+            assert _enumeration_min_weight(mat) == want, (q, rows)
+    # GF(257) takes the uint16 path; k = 1 and k = 2.
+    f257 = field_for_order(257)
+    for rows in ([[256, 3]], [[0, 0]]):
+        mat = FMatrix(f257, rows)
+        assert _enumeration_min_weight(mat) == _kernel_oracle_min_weight(mat)
+
+
+def test_min_distance_cross_check_guard(monkeypatch):
+    roots = [F8.pow(F8.theta, i) for i in range(4)]
+    mat = root_parity_matrix(F8, roots, 7)
+    with monkeypatch.context() as m:
+        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: 4)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            min_distance(mat)
+    # The cross-check runs exactly when q^k <= 2^20.
+    calls = []
+
+    def counted(parity):
+        calls.append(parity.cols)
+        return 2
+
+    monkeypatch.setattr(blockcode, "_enumeration_min_weight", counted)
+    f2 = field_for_order(2)
+    assert min_distance(FMatrix(f2, [[1] * 21])) == 2  # k = 20
+    assert min_distance(FMatrix(f2, [[1] * 22])) == 2  # k = 21
+    assert calls == [21]
 
 
 def test_block_code_from_parity():
