@@ -9,18 +9,15 @@ computes exact minimum distances by two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+
+import numpy as np
 
 from .galois import (
-    ExtField,
-    poly_divmod,
-    poly_from_roots,
-    poly_trim,
+    ExtField, array_tables, op_tables, poly_divmod, poly_from_roots, poly_trim,
 )
-from .linalg import FMatrix, rank
+from .linalg import FMatrix, nullspace, rank
 
 _ENUMERATION_LIMIT = 2**20
-_OP_TABLE_LIMIT = 256
 
 
 class DuplicateRoots(ValueError):
@@ -41,6 +38,22 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message, lower_bound=None):
         super().__init__(message)
         self.lower_bound = lower_bound
+
+
+class _Budget:
+    """Search steps left to spend; a limit of None is unlimited."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, limit):
+        self.remaining = limit
+
+    def spend(self, amount=1, lower_bound=None):
+        if self.remaining is None:
+            return
+        self.remaining -= amount
+        if self.remaining < 0:
+            raise BudgetExceeded("search budget exhausted", lower_bound)
 
 
 @dataclass(frozen=True)
@@ -246,17 +259,14 @@ def _dependency_min_weight(parity, r, budget=None):
     its pivots, so a child reduces them by its one new pivot only.  One
     budget step is spent per column test.
     """
-    mul, sub, inv = _op_tables(parity.field)
+    _, sub, mul, inv = op_tables(parity.field)
+    spend = _Budget(budget).spend
     best = r + 1
-    remaining = budget
 
     def dfs(size, later):
-        nonlocal best, remaining
+        nonlocal best
         for i, vec in enumerate(later):
-            if remaining is not None:
-                if remaining == 0:
-                    raise BudgetExceeded("column subset budget exhausted")
-                remaining -= 1
+            spend()
             prow = next((p for p, x in enumerate(vec) if x), None)
             if prow is None:
                 best = size + 1
@@ -277,37 +287,6 @@ def _dependency_min_weight(parity, r, budget=None):
     return best
 
 
-class _OnDemand:
-    """Stands in for a lookup table too large to build: t[a] is fn(a)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, a):
-        return self.fn(a)
-
-
-def _op_tables(field):
-    """(mul, sub, inv) lookup tables: mul[a][b], sub[a][b] and inv[a].
-
-    Built from the field's own operations up to _OP_TABLE_LIMIT elements;
-    larger fields get on-demand stand-ins with the same indexing.
-    """
-    if field.order > _OP_TABLE_LIMIT:
-        return (
-            _OnDemand(lambda a: _OnDemand(partial(field.mul, a))),
-            _OnDemand(lambda a: _OnDemand(partial(field.sub, a))),
-            _OnDemand(field.inv),
-        )
-    elems = range(field.order)
-    mul = [[field.mul(a, b) for b in elems] for a in elems]
-    sub = [[field.sub(a, b) for b in elems] for a in elems]
-    inv = [0] + [field.inv(a) for a in elems[1:]]
-    return mul, sub, inv
-
-
 def _enumeration_min_weight(parity):
     """Minimum weight of the kernel, by enumerating one codeword per line.
 
@@ -315,25 +294,15 @@ def _enumeration_min_weight(parity):
     weigh, for each i, the words b_i + span(b_{i+1}, ..., b_{k-1}) of the
     nullspace basis: the words whose first nonzero coefficient is at i,
     scaled to 1.  That is (q^k - 1)/(q - 1) words, and the largest array
-    holds q^(k-1) of them.
+    holds q^(k-1) of them.  The arithmetic indexes the field's `array_tables`
+    in 2-D, add[a, b]: uint8 lookups within the table limit, the field's own
+    operations applied elementwise above it.
     """
-    import numpy as np
-
-    from .linalg import nullspace
-
-    field = parity.field
+    add, mul, dtype = array_tables(parity.field)
     basis = nullspace(parity)
     n = parity.cols
-    q = field.order
-    dtype = np.uint8 if q <= 256 else np.uint16
-    add = np.array(
-        [[field.add(a, b) for b in range(q)] for a in range(q)], dtype=dtype
-    )
-    mul = np.array(
-        [[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=dtype
-    )
     span = np.zeros((1, n), dtype=dtype)
-    scalars = np.arange(q, dtype=dtype)
+    scalars = np.arange(parity.field.order, dtype=dtype)
     least = []
     for i in range(len(basis) - 1, -1, -1):
         v = np.array(basis[i], dtype=dtype)

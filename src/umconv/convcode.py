@@ -16,8 +16,10 @@ from math import comb
 
 import numpy as np
 
-from .blockcode import BudgetExceeded, min_distance
-from .galois import poly_add, poly_deg, poly_gcd, poly_mul, poly_neg, poly_trim
+from .blockcode import BudgetExceeded, _Budget, min_distance
+from .galois import (
+    array_tables, poly_add, poly_deg, poly_gcd, poly_mul, poly_neg, poly_trim,
+)
 from .linalg import FMatrix, rank, rref
 
 
@@ -279,44 +281,8 @@ def block_split_certificate(desc):
 _F_TABLE_LIMIT = 250_000
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit):
-        self.remaining = limit
-
-    def spend(self, amount=1):
-        if self.remaining is None:
-            return
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise BudgetExceeded("search budget exhausted")
-
-
 def _lookup(table, q, a, b):
     return table.take(np.multiply(a, q, dtype=np.intp) + b)
-
-
-def _elementwise(op, a, b):
-    return op(a, b).astype(np.int64)
-
-
-def _array_ops(field):
-    """(add, mul, dtype): add(a, b) and mul(a, b) on numpy arrays of element
-    codes of the given dtype, broadcasting like numpy arithmetic.
-
-    Fields whose codes fit uint8 index flat q*q uint8 lookup tables built
-    from the field's own operations; larger fields apply those operations
-    elementwise on int64 codes.
-    """
-    q = field.order
-    ops = (field.add, field.mul)
-    if q > 256:
-        ufuncs = [np.frompyfunc(lambda a, b, f=f: f(int(a), int(b)), 2, 1) for f in ops]
-        return tuple(partial(_elementwise, u) for u in ufuncs) + (np.int64,)
-    elems = range(q)
-    tables = [np.array([f(a, b) for a in elems for b in elems], np.uint8) for f in ops]
-    return tuple(partial(_lookup, t, q) for t in tables) + (np.uint8,)
 
 
 class _Layer:
@@ -382,7 +348,10 @@ class _ColumnSearch:
         self.kappa = parity.rows
         self.q = self.field.order
         self.budget = _Budget(budget)
-        self._add, self._mul, self._dtype = _array_ops(self.field)
+        add, mul, self._dtype = array_tables(self.field)
+        if self._dtype == np.uint8:  # flat take beats 2-D indexing on small arrays
+            add, mul = (partial(_lookup, t.ravel(), self.q) for t in (add, mul))
+        self._add, self._mul = add, mul
         self._minus_one = self.field.neg(1)
         self._neg_h1 = self._neg(
             np.array(parity.coefficient(1).to_lists(), dtype=self._dtype)
@@ -677,16 +646,12 @@ def _column_distance_support(desc, j, budget):
     sliding = sliding_matrix(desc.parity, j)
     n = desc.n
     cap = (desc.n - desc.k) * (j + 1) + 1
-    spent = 0
+    spend = _Budget(budget).spend
     for w in range(1, cap + 1):
         for support in combinations(range(sliding.cols), w):
             if support[0] >= n:
                 break
-            spent += 1
-            if budget is not None and spent > budget:
-                raise BudgetExceeded(
-                    f"support budget exhausted at weight {w}", lower_bound=w
-                )
+            spend(lower_bound=w)
             if solve_on_support(sliding, support, require_nonzero_block=(0, n)):
                 return w
     raise PropertyViolation(

@@ -4,20 +4,29 @@ Elements of GF(p^m) are plain Python integers in ``range(q)``: the element
 with power-basis coordinates (c0, ..., c_{m-1}) is encoded as
 ``sum(c_i * p**i)``.  For p = 2 this is the familiar bit representation and
 addition is XOR.  All arithmetic is exact; log/antilog tables are built for
-small fields as an acceleration only, and every operation gives identical
-results with and without them.
+fields of up to 4096 elements as an acceleration only, and every operation
+gives the same result as its direct route (``_add_direct``, ``_mul_direct``).
 
 Elements of a quadratic extension GF(q^2) over a base GF(q) are encoded the
 same way relative to the basis (1, e), where e is the residue class of the
 extension variable: ``enc(a + e*b) = enc(a) + q * enc(b)``.
+
+The engines (row reduction, both minimum-distance routes, the column search)
+read lookup tables of the field operations, built once per field value and
+only up to 256 elements: ``op_tables`` as nested tuples, ``array_tables`` as
+q x q uint8 arrays.  Above that limit both give stand-ins, indexed the same
+way, that call the field's own operations.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
-_TABLE_LIMIT = 4096
-_ADD_TABLE_LIMIT = 512
+import numpy as np
+
+_LOG_TABLE_LIMIT = 4096
+_OP_TABLE_LIMIT = 256
 
 
 class NotPrime(ValueError):
@@ -73,6 +82,21 @@ def _multiplicative_order(mul, x, group_order):
     return order
 
 
+def _log_tables(mul, theta, n):
+    """(exp, log) of a field of n elements: exp[i] = theta^i for i below
+    2(n - 1), so a product indexes exp[log a + log b] unreduced."""
+    exp = [1] * (2 * (n - 1))
+    log = [0] * n
+    acc = 1
+    for i in range(n - 1):
+        exp[i] = exp[i + n - 1] = acc
+        log[acc] = i
+        acc = mul(acc, theta)
+    if acc != 1:
+        raise NotPrimitive(f"theta {theta} does not have order {n - 1}")
+    return exp, log
+
+
 def _pow_by_squaring(mul, x, e):
     r = 1
     b = x
@@ -94,7 +118,7 @@ class Field:
     smallest encoding.
     """
 
-    def __init__(self, p, m, modulus=None, use_tables=True):
+    def __init__(self, p, m, modulus=None):
         if not _is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if m < 1:
@@ -121,12 +145,13 @@ class Field:
         # Reduction vectors for x^t, t = m .. 2m-2, as digit tuples.
         self._xpow = self._reduction_table()
 
-        self._log = None
-        self._exp = None
-        self._add_table = None
+        self._exp = self._log = self._add_table = None
         self.theta = self._find_theta()
-        if use_tables and self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        if self.q <= _LOG_TABLE_LIMIT:
+            self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.q)
+        if self.p != 2 and self.q <= _OP_TABLE_LIMIT:
+            elems = range(self.q)
+            self._add_table = [[self._add_direct(a, b) for b in elems] for a in elems]
 
     # -- encoding ---------------------------------------------------------
 
@@ -179,25 +204,6 @@ class Field:
             if _multiplicative_order(self._mul_direct, x, group) == group:
                 return x
         raise NotPrimitive(f"no generator found in GF({self.q})")  # unreachable
-
-    def _build_tables(self):
-        q = self.q
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._mul_direct(acc, self.theta)
-        if acc != 1:
-            raise NotPrimitive(f"theta {self.theta} does not have order {q - 1}")
-        self._exp = exp
-        self._log = log
-        if self.p != 2 and q <= _ADD_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_direct(a, b) for b in range(q)] for a in range(q)
-            ]
 
     # -- arithmetic, direct routes ----------------------------------------
 
@@ -381,7 +387,7 @@ class ExtField:
     is used.
     """
 
-    def __init__(self, base, modulus=None, theta=None, use_tables=True):
+    def __init__(self, base, modulus=None, theta=None):
         if not isinstance(base, Field):
             raise TypeError("base must be a Field")
         self.base = base
@@ -399,11 +405,10 @@ class ExtField:
             raise ReducibleModulus(f"quadratic {modulus} has a root in the base field")
         self.modulus = modulus
 
-        self._log = None
-        self._exp = None
+        self._exp = self._log = None
         self.theta = self._find_theta(theta)
-        if use_tables and self.order <= _TABLE_LIMIT:
-            self._build_tables()
+        if self.order <= _LOG_TABLE_LIMIT:
+            self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.order)
         self.beta = self.pow(self.theta, base.q - 1)
 
     def _eval_quadratic(self, mod, x):
@@ -441,21 +446,6 @@ class ExtField:
             if _pow_by_squaring(self._mul_direct, x, q - 1) == residue:
                 return x
         raise NotPrimitive(f"no generator found in GF({self.order})")
-
-    def _build_tables(self):
-        n = self.order
-        exp = [1] * (2 * (n - 1))
-        log = [0] * n
-        acc = 1
-        for i in range(n - 1):
-            exp[i] = acc
-            exp[i + n - 1] = acc
-            log[acc] = i
-            acc = self._mul_direct(acc, self.theta)
-        if acc != 1:
-            raise NotPrimitive(f"theta {self.theta} does not have order {n - 1}")
-        self._exp = exp
-        self._log = log
 
     # -- encoding ----------------------------------------------------------
 
@@ -585,6 +575,79 @@ class ExtField:
 def make_ext_field(base, modulus=None, theta=None):
     """Build GF(q^2) over the given base; see ExtField for defaulting rules."""
     return ExtField(base, modulus=modulus, theta=theta)
+
+
+# -- lookup tables of the field operations, one set per field value ----------
+
+
+class _OnDemand:
+    """Stands in for a lookup table too large to build: t[a] is fn(a)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+class _Elementwise:
+    """Stands in for a q x q uint8 array too large to build: t[a, b] and
+    t(a, b) apply fn elementwise to arrays of codes, giving int64 codes."""
+
+    def __init__(self, fn):
+        self.ufunc = np.frompyfunc(fn, 2, 1)  # fn gets Python ints
+
+    def __call__(self, a, b):
+        return self.ufunc(a, b).astype(np.int64)
+
+    def __getitem__(self, ab):
+        return self(*ab)
+
+
+@cache
+def op_tables(field):
+    """(add, sub, mul, inv) of the field as lookup tables: add[a][b],
+    sub[a][b], mul[a][b] and inv[a] for a != 0.
+
+    Built from the field's own operations up to _OP_TABLE_LIMIT elements;
+    larger fields get on-demand stand-ins with the same indexing.
+    """
+    if field.order > _OP_TABLE_LIMIT:
+        return (
+            _OnDemand(lambda a: _OnDemand(lambda b: field.add(a, b))),
+            _OnDemand(lambda a: _OnDemand(lambda b: field.sub(a, b))),
+            _OnDemand(lambda a: _OnDemand(lambda b: field.mul(a, b))),
+            _OnDemand(lambda a: field.inv(a)),
+        )
+    elems = range(field.order)
+    add = tuple(tuple(field.add(a, b) for b in elems) for a in elems)
+    sub = tuple(tuple(field.sub(a, b) for b in elems) for a in elems)
+    mul = tuple(tuple(field.mul(a, b) for b in elems) for a in elems)
+    inv = (0,) + tuple(field.inv(a) for a in elems[1:])
+    return add, sub, mul, inv
+
+
+@cache
+def array_tables(field):
+    """(add, mul, dtype) for numpy arrays of element codes of that dtype:
+    add[a, b] and mul[a, b] broadcast like numpy indexing.
+
+    Up to _OP_TABLE_LIMIT elements they are read-only q x q uint8 arrays of
+    the op_tables entries; above it, stand-ins that apply the field's own
+    operations elementwise on int64 codes (and may also be called).
+    """
+    if field.order > _OP_TABLE_LIMIT:
+        return (
+            _Elementwise(lambda a, b: field.add(a, b)),
+            _Elementwise(lambda a, b: field.mul(a, b)),
+            np.int64,
+        )
+    add, _, mul, _ = op_tables(field)
+    arrays = np.array([add, mul], dtype=np.uint8)
+    arrays.flags.writeable = False
+    return arrays[0], arrays[1], np.uint8
 
 
 # -- polynomials over a field, ascending coefficient tuples -------------------

@@ -8,6 +8,8 @@ and byte-reproducible.
 
 from __future__ import annotations
 
+from .galois import op_tables
+
 
 class FieldMismatch(ValueError):
     """Operands live over different fields."""
@@ -117,8 +119,10 @@ def rref(mat):
 
     Returns (reduced matrix, rank, pivot column tuple).  Pivots are chosen as
     the first nonzero entry in column order, which makes the output canonical.
+    The arithmetic reads the field's `op_tables`.
     """
     f = mat.field
+    _, sub, mul, inv = op_tables(f)
     data = mat.to_lists()
     nrows, ncols = mat.rows, mat.cols
     pivots = []
@@ -134,16 +138,15 @@ def rref(mat):
         if sel is None:
             continue
         data[prow], data[sel] = data[sel], data[prow]
-        inv = f.inv(data[prow][col])
-        if inv != 1:
-            data[prow] = [f.mul(inv, x) for x in data[prow]]
+        pivot = data[prow][col]
+        if pivot != 1:
+            scale = mul[inv[pivot]]
+            data[prow] = [scale[x] for x in data[prow]]
+        rowp = data[prow]
         for r in range(nrows):
             if r != prow and data[r][col] != 0:
-                c = data[r][col]
-                rowp = data[prow]
-                data[r] = [
-                    f.sub(x, f.mul(c, y)) if y else x for x, y in zip(data[r], rowp)
-                ]
+                times_c = mul[data[r][col]]
+                data[r] = [sub[x][times_c[y]] for x, y in zip(data[r], rowp)]
         pivots.append(col)
         prow += 1
     return FMatrix(f, data), len(pivots), tuple(pivots)

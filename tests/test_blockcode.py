@@ -24,6 +24,7 @@ from umconv.blockcode import (
     root_parity_matrix,
 )
 from umconv.galois import (
+    Field,
     field_for_order,
     make_ext_field,
     make_field,
@@ -195,17 +196,37 @@ def test_min_distance_matches_subset_oracle():
     assert min_distance(repeated) == 2
 
 
-def test_min_distance_without_lookup_tables(monkeypatch):
-    # Fields above the table limit index on-demand arithmetic instead.
-    monkeypatch.setattr(blockcode, "_OP_TABLE_LIMIT", 0)
-    roots = [F8.pow(F8.theta, i) for i in range(4)]
-    assert min_distance(root_parity_matrix(F8, roots, 7), budget=98) == 5
-    f11 = field_for_order(11)
-    roots = [f11.pow(f11.theta, i) for i in range(4)]
-    assert min_distance(root_parity_matrix(f11, roots, 10)) == 5
-    f7 = field_for_order(7)
-    repeated = FMatrix(f7, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
+def test_min_distance_without_lookup_tables():
+    # GF(257) is above the table limit, so both routes index on-demand
+    # arithmetic instead; the budget pin holds there too.
+    f257 = field_for_order(257)
+    roots = [f257.pow(f257.theta, i) for i in range(4)]
+    assert min_distance(root_parity_matrix(f257, roots, 7), budget=98) == 5
+    with pytest.raises(BudgetExceeded):
+        min_distance(root_parity_matrix(f257, roots, 7), budget=97)
+    assert min_distance(root_parity_matrix(f257, roots, 10)) == 5
+    repeated = FMatrix(f257, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
     assert min_distance(repeated) == 2
+    assert min_distance(FMatrix(field_for_order(65537), [[1, 2]])) == 2
+
+
+def test_enumeration_above_table_limit_calls_field_per_word(monkeypatch):
+    # Above 256 elements the enumeration applies the field operations to the
+    # words it weighs; it must not tabulate all q^2 products first.
+    f = field_for_order(1009)
+    calls = [0]
+
+    def counted(op):
+        def wrapper(self, a, b):
+            calls[0] += 1
+            return op(self, a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(Field, "add", counted(Field.add))
+    monkeypatch.setattr(Field, "mul", counted(Field.mul))
+    assert _enumeration_min_weight(FMatrix(f, [[1, 2, 3]])) == 2
+    assert 0 < calls[0] < f.q**2 / 10
 
 
 def test_min_distance_mds_up_to_length_12():
@@ -296,7 +317,7 @@ def test_enumeration_matches_kernel_oracle():
             if trial >= 4:
                 assert want <= trial - 3
             assert _enumeration_min_weight(mat) == want, (q, rows)
-    # GF(257) takes the uint16 path; k = 1 and k = 2.
+    # GF(257) takes the elementwise stand-ins; k = 1 and k = 2.
     f257 = field_for_order(257)
     for rows in ([[256, 3]], [[0, 0]]):
         mat = FMatrix(f257, rows)

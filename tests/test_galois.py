@@ -2,13 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from umconv import galois
 from umconv.galois import (
     DegreeMismatch,
     ExtField,
-    Field,
     NotPrime,
     NotPrimitive,
     ReducibleModulus,
@@ -92,12 +92,55 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", (8, 9))
 def test_tables_match_direct(q):
-    tabled = field_for_order(q)
-    direct = Field(tabled.p, tabled.m, use_tables=False)
-    for a in tabled.elements():
-        for b in tabled.elements():
-            assert tabled.add(a, b) == direct.add(a, b)
-            assert tabled.mul(a, b) == direct.mul(a, b)
+    # The log/antilog and add tables against the direct routes they replace.
+    f = field_for_order(q)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.add(a, b) == f._add_direct(a, b)
+            assert f.mul(a, b) == f._mul_direct(a, b)
+    ext = make_ext_field(f)
+    for a in ext.elements():
+        for b in ext.elements():
+            assert ext.mul(a, b) == ext._mul_direct(a, b)
+
+
+_TABLE_FIELDS = {
+    "GF(4)": lambda: field_for_order(4),
+    "GF(9)": lambda: field_for_order(9),
+    "GF(7^2) over GF(7)": lambda: make_ext_field(field_for_order(7)),
+    "GF(257)": lambda: field_for_order(257),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_FIELDS))
+def test_op_tables_match_field_operations(name):
+    f = _TABLE_FIELDS[name]()
+    add, sub, mul, inv = galois.op_tables(f)
+    array_add, array_mul, dtype = galois.array_tables(f)
+    # Built once per field value: an equal field gets the same objects.
+    again = _TABLE_FIELDS[name]()
+    assert galois.op_tables(again) is galois.op_tables(f)
+    assert galois.array_tables(again) is galois.array_tables(f)
+    # Above 256 elements: stand-ins on int64 codes.
+    assert dtype == (np.uint8 if f.order <= 256 else np.int64)
+    elems = list(f.elements()) if f.order <= 256 else [0, 1, 2, 128, 255, 256]
+    codes = np.array(elems, dtype=dtype)
+    assert array_add[codes[:, None], codes[None, :]].tolist() == [
+        [f.add(a, b) for b in elems] for a in elems
+    ]
+    assert array_mul[codes[:, None], codes[None, :]].tolist() == [
+        [f.mul(a, b) for b in elems] for a in elems
+    ]
+    for a in elems:
+        if a:
+            assert inv[a] == f.inv(a)
+        for b in elems:
+            assert add[a][b] == f.add(a, b)
+            assert sub[a][b] == f.sub(a, b)
+            assert mul[a][b] == f.mul(a, b)
+    if dtype == np.uint8:
+        with pytest.raises(ValueError):
+            array_add[0, 0] = 1
 
 
 def test_default_moduli():

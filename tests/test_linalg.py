@@ -19,6 +19,8 @@ from umconv.linalg import (
 F2 = field_for_order(2)
 F3 = field_for_order(3)
 F8 = field_for_order(8)
+F9 = field_for_order(9)
+F257 = field_for_order(257)
 
 
 def _random_matrix(rng, f, rows, cols):
@@ -95,9 +97,11 @@ def test_matmul_matvec_naive():
 
 
 def test_rref_canonical_form():
+    # GF(9) is an odd-characteristic extension; GF(257) is above the lookup
+    # table limit, so rref reads on-demand stand-ins there.
     rng = random.Random(17)
-    for _ in range(60):
-        f = rng.choice((F2, F3, F8))
+    for _ in range(100):
+        f = rng.choice((F2, F3, F8, F9, F257))
         mat = _random_matrix(rng, f, rng.randint(1, 5), rng.randint(1, 5))
         reduced, r, pivots = rref(mat)
         assert r == len(pivots) == _naive_rank(f, mat)

@@ -3,7 +3,8 @@
 from pathlib import Path
 
 import umconv
-from umconv import blockcode, galois
+from umconv import blockcode, constructions, galois
+from umconv.constructions import FamilySpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,3 +33,23 @@ def test_bench_tracer_installs(monkeypatch):
         tracer.uninstall()
     assert blockcode.min_distance is min_distance
     assert galois.Field.__dict__["mul"] is field_mul
+
+
+def test_bench_tracer_sees_construct_boundaries(monkeypatch):
+    # A traced construct run fails when a boundary it requires records no
+    # calls, e.g. after a change caches work past a wrapped name.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import hooks
+
+    tracer = hooks.Tracer()
+    tracer.install()
+    try:
+        for spec in (
+            FamilySpec(family="sec4", q=5, n=5, k=2, delta=1),
+            FamilySpec(family="sec5c1", q=5, n=6, k=1, delta=1, tau=2),
+        ):
+            tracer.set_code(spec.family)
+            constructions.construct_family(spec)
+    finally:
+        tracer.uninstall()
+    hooks.check_crossed("construct", hooks.layer_totals(tracer.spans(), tracer.counts))
