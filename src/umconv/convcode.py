@@ -332,12 +332,15 @@ class _ColumnSearch:
     solution is seen exactly once); distinct solutions with equal carry
     collapse.  The final block only needs the minimum solution weight F(t),
     precomputed as a coset-leader table when the syndrome space is small
-    and found by first-hit support search otherwise.  Exhausting level W
-    proves d > W, so the first witness level is the exact distance.
+    (`_build_f_table`) and found by first-hit support search otherwise.
+    Exhausting level W proves d > W, so the first witness level is the
+    exact distance.
 
     The supports of each weight are row-reduced once, on first use, into
     one numpy layer (`_Layer`), so solving one target on every support of
-    that weight is a few array operations over lookup tables.
+    that weight is a few array operations over lookup tables.  With the
+    table, the targets a query leaves are tested against the weight left
+    in one gather (`_reaches`), and the last block is settled there.
     """
 
     def __init__(self, desc, budget=None, d0=None):
@@ -389,37 +392,47 @@ class _ColumnSearch:
         return (code // self._powers % self.q).astype(self._dtype)
 
     def _build_f_table(self):
+        """F(t), the least weight of a solution of H0 v = t, for every
+        syndrome t, by dynamic programming over the columns of H0.
+
+        F lives on the syndrome array, one axis per coordinate of t.  After
+        column h, F(t) = min(F(t), 1 + min_{a != 0} F(t + a h)), since a
+        and -a run over the same nonzero elements.  The shift t -> t + a h
+        acts on each coordinate alone, so it is one `take` along each axis
+        where h is nonzero, indexed by the add table's column of a h_i;
+        successive takes beat one `np.ix_` gather several times over.  A
+        zero column, and a column parallel to an earlier one, reach no new
+        syndrome, so they are skipped.  A least-weight solution has
+        independent columns, so its weight is at most kappa: a syndrome
+        still at the sentinel kappa + 1 at the end is unreachable.
+        """
         f, q, kappa = self.field, self.q, self.kappa
-        deltas = set()
+        add = array_tables(f)[0]
+        elems = np.arange(q)
+        unreached = kappa + 1
+        table = np.full((q,) * kappa, unreached, dtype=np.int16)
+        table[(0,) * kappa] = 0
+        nonzero = list(f.nonzero_elements())
+        lines = set()
         for c in range(self.n):
             col = self.h0.column(c)
-            for a in f.nonzero_elements():
-                d = tuple(f.mul(a, x) for x in col)
-                if any(d):
-                    deltas.add(d)
-        powers = self._powers
-        table = np.full(q**kappa, -1, dtype=np.int16)
-        table[0] = 0
-        frontier = np.zeros((1, kappa), dtype=self._dtype)
-        w = 0
-        while frontier.size:
-            w += 1
-            fresh_codes = []
-            for d in sorted(deltas):
-                cand = self._add(frontier, np.array(d, dtype=self._dtype))
-                codes = cand.astype(np.int64) @ powers
-                fresh = codes[table[codes] < 0]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    table[fresh] = w
-                    fresh_codes.append(fresh)
-            if not fresh_codes:
-                break
-            merged = np.concatenate(fresh_codes)
-            frontier = ((merged[:, None] // powers[None, :]) % q).astype(self._dtype)
-        if (table < 0).any():
+            multiples = [tuple(f.mul(a, x) for x in col) for a in nonzero]
+            line = min(multiples)  # the same for every column on one line
+            if not any(line) or line in lines:
+                continue
+            lines.add(line)
+            best = None
+            for mult in multiples:
+                moved = table
+                for axis, x in enumerate(mult):
+                    if x:
+                        moved = moved.take(add[elems, x], axis=axis)
+                best = moved if best is None else np.minimum(best, moved, out=best)
+            table = np.minimum(table, best + 1)
+        if (table == unreached).any():
             raise RuntimeError("syndrome space not fully reachable")
-        self._ftable = table
+        # Axis i holds coordinate i of t, so Fortran order is the code order.
+        self._ftable = table.ravel(order="F")
 
     def _f_min(self, t_enc):
         """Minimum weight of a solution of H0 v = t."""
@@ -561,9 +574,25 @@ class _ColumnSearch:
         base = np.repeat(base[hit], counts, axis=0)[full]
         carries = self._add(base, layer.carry_off[rows[full]])
         codes = carries.astype(self._powers.dtype) @ self._powers
-        result = tuple(np.unique(codes).tolist())
+        result = np.unique(codes)
+        result.flags.writeable = False
         self._sol_cache[key] = result
         return result
+
+    def _reaches(self, m, targets, limit):
+        """Whether m further blocks solving into one of the targets fit in
+        weight limit, trying the targets in order.
+
+        With the coset-leader table, one gather drops every target whose
+        F(t) exceeds the limit, and the last block (m == 1) needs nothing
+        more.  The targets left are tried as the scalar loop tries them, so
+        every `_solutions` call and budget charge stays where it was.
+        """
+        if self._ftable is not None:
+            targets = targets[self._ftable[targets] <= limit]
+            if m == 1:
+                return bool(targets.size)
+        return any(self._exists(m, t, limit) for t in targets.tolist())
 
     def _exists(self, m, t_enc, limit):
         """Whether m further blocks solving into target t fit in weight limit."""
@@ -576,14 +605,10 @@ class _ColumnSearch:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        result = False
-        for w in range(fmin, min(limit, self.n) + 1):
-            for t2 in self._solutions(t_enc, w):
-                if self._exists(m - 1, t2, limit - w):
-                    result = True
-                    break
-            if result:
-                break
+        result = any(
+            self._reaches(m - 1, self._solutions(t_enc, w), limit - w)
+            for w in range(fmin, min(limit, self.n) + 1)
+        )
         self._memo[key] = result
         return result
 
@@ -616,11 +641,10 @@ class _ColumnSearch:
         return d
 
     def _witness_at(self, j, level):
-        for w0 in range(self._d0, min(level, self.n) + 1):
-            for t in self._solutions(0, w0):
-                if self._exists(j, t, level - w0):
-                    return True
-        return False
+        return any(
+            self._reaches(j, self._solutions(0, w0), level - w0)
+            for w0 in range(self._d0, min(level, self.n) + 1)
+        )
 
 
 def column_distance(desc, j, budget=None, method="block"):

@@ -247,12 +247,16 @@ class Field:
             return a ^ b
         if self._add_table is not None:
             return self._add_table[a][b]
+        if self.m == 1:
+            return (a + b) % self.p
         return self._add_direct(a, b)
 
     def neg(self, a):
         if self.p == 2:
             return a
         p = self.p
+        if self.m == 1:
+            return -a % p
         out = 0
         mult = 1
         while a:

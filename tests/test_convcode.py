@@ -348,6 +348,51 @@ def test_column_search_first_hit_route(monkeypatch):
     assert any(len(e._fmin_cache) > 1 for e in engines)
 
 
+def _brute_f_table(h0):
+    """Least weight of a solution of H0 v = t per syndrome code t, over
+    every v in F_q^n."""
+    q = h0.field.q
+    best = {}
+    for v in itertools.product(range(q), repeat=h0.cols):
+        code = sum(x * q**i for i, x in enumerate(h0.matvec(v)))
+        w = sum(1 for x in v if x)
+        if w < best.get(code, w + 1):
+            best[code] = w
+    return [best[c] for c in range(q**h0.rows)]
+
+
+def _f_table_cases():
+    """Seeded random full-row-rank H0 with a zero column and a scaled copy
+    of another column, in shuffled column order, at q^n <= 20,000; and two
+    kappa = 1 checks over GF(257), whose table is built elementwise."""
+    rng = random.Random(29)
+    for q, n, kappa in (
+        (2, 6, 3), (3, 6, 3), (4, 6, 3), (5, 6, 3), (7, 5, 2), (8, 4, 2), (9, 4, 2),
+    ):
+        f = field_for_order(q)
+        while True:
+            cols = [[rng.randrange(q) for _ in range(kappa)] for _ in range(n - 2)]
+            scale = rng.randrange(1, q)
+            cols += [[0] * kappa, [f.mul(scale, x) for x in rng.choice(cols)]]
+            rng.shuffle(cols)
+            h0 = FMatrix(f, [list(row) for row in zip(*cols)])
+            if rank(h0) == kappa:
+                yield h0
+                break
+    f = field_for_order(257)
+    yield FMatrix(f, [[5, f.mul(3, 5)]])
+    yield FMatrix(f, [[0, 200]])
+
+
+def test_f_table_against_brute_force():
+    # The coset-leader table from the column-by-column dynamic program
+    # against exhaustive enumeration, including the columns it skips.
+    for h0 in _f_table_cases():
+        desc = ConvCodeDesc.from_parity(PolyMatrix(h0.field, (h0,)))
+        engine = _ColumnSearch(desc)
+        assert engine._ftable.tolist() == _brute_f_table(h0), h0.to_lists()
+
+
 def _batched_cases(q):
     """Seeded random codes over GF(q); n - kappa >= 2 on most, so the
     weight layers above kappa have supports with free columns."""
@@ -413,7 +458,10 @@ def test_batched_search_every_budget():
     for budget in range(need + 1):
         dists, engine = run(budget)
         assert dists == (want if budget == need else None), budget
-        assert all(full._sol_cache[key] == v for key, v in engine._sol_cache.items())
+        assert all(
+            np.array_equal(full._sol_cache[key], v)
+            for key, v in engine._sol_cache.items()
+        )
         assert _layer_rows(engine) <= budget
 
 
@@ -547,6 +595,8 @@ def test_classify_budget_inconclusive():
     [
         pytest.param(lambda: sec3_code(8, 7, 2, 2), 1680, id="sec3-q8"),
         pytest.param(lambda: sec5_part2_code(7, 2, 1), 4600, id="sec5p2-q7"),
+        # The (9,5,4) code, the slowest of the q <= 8 sweep.
+        pytest.param(lambda: sec5_part2_code(8, 1, 2), 294_258, id="sec5p2-q8"),
     ],
 )
 def test_classify_budget_step_counts(bundle, steps):

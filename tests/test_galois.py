@@ -104,6 +104,20 @@ def test_tables_match_direct(q):
             assert ext.mul(a, b) == ext._mul_direct(a, b)
 
 
+@pytest.mark.parametrize("p", (4099, 65537))
+def test_prime_field_add_neg_match_direct(p):
+    # Above the table limit a prime field adds and negates modulo p.  The
+    # digit loop is the oracle for add; neg(a) is the one element that
+    # cancels a.
+    f = field_for_order(p)
+    rng = random.Random(p)
+    pairs = [(0, 0), (0, p - 1), (p - 1, p - 1), (1, p - 1)]
+    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(2000)]
+    for a, b in pairs:
+        assert f.add(a, b) == f._add_direct(a, b)
+        assert 0 <= f.neg(a) < p and f._add_direct(a, f.neg(a)) == 0
+
+
 _TABLE_FIELDS = {
     "GF(4)": lambda: field_for_order(4),
     "GF(9)": lambda: field_for_order(9),
