@@ -460,6 +460,8 @@ def cmd_sweep(args):
         raise ValueError("no families given")
     for name in families:
         family(name)
+    for q in args.q:
+        field_for_order(q)  # rejects a size that is not a prime power
     rows = _sweep_rows(args, families)
 
     codes = {_verdict_exit(report, bundle.expected) for _, bundle, report, _ in rows}

@@ -265,7 +265,7 @@ def fixture_by_number(number):
     for fx in FIXTURES:
         if fx.number == number:
             return fx
-    raise KeyError(f"no fixture numbered {number}")
+    raise ValueError(f"no fixture numbered {number}")
 
 
 def build_fixture(fx):

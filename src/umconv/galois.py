@@ -1,5 +1,12 @@
 """Exact arithmetic in small finite fields and their quadratic extensions.
 
+GF(p^m) is the ring GF(p)[t]/(f) for a monic irreducible f of degree m, and
+GF(q^2) over a base GF(q) is GF(q)[e]/(g) for a monic irreducible quadratic
+g.  Both are built from the polynomial helpers at the end of this module:
+the product of GF(p^m) is ``poly_mul`` reduced by ``poly_mod`` over GF(p),
+every modulus is checked (and every default found) by
+``poly_is_irreducible``, and elements are rendered by ``poly_str``.
+
 Elements of GF(p^m) are plain Python integers in ``range(q)``: the element
 with power-basis coordinates (c0, ..., c_{m-1}) is encoded as
 ``sum(c_i * p**i)``.  For p = 2 this is the familiar bit representation and
@@ -46,14 +53,7 @@ class NotPrimitive(ValueError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n):
@@ -109,13 +109,15 @@ def _pow_by_squaring(mul, x, e):
 
 
 class Field:
-    """GF(p^m) with integer-encoded elements.
+    """GF(p^m) = GF(p)[t]/(modulus) with integer-encoded elements.
 
     The modulus is a monic irreducible polynomial of degree m over GF(p),
     given as an ascending coefficient tuple.  When omitted, the monic
     irreducible polynomial with the smallest integer encoding is used, and
     ``theta`` defaults to the element of multiplicative order q-1 with the
-    smallest encoding.
+    smallest encoding.  ``prime_field`` is GF(p), the field itself when
+    m = 1; the direct product, the irreducibility test of the modulus and
+    ``element_str`` are the polynomial helpers over it.
     """
 
     def __init__(self, p, m, modulus=None):
@@ -128,9 +130,10 @@ class Field:
         self.q = p**m
         self.order = self.q
         self.char = p
+        self.prime_field = self if m == 1 else Field(p, 1)
 
         if modulus is None:
-            modulus = _smallest_irreducible(p, m)
+            modulus = _smallest_irreducible(self.prime_field, m)
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise DegreeMismatch(
@@ -138,12 +141,9 @@ class Field:
             )
         if any(not 0 <= c < p for c in modulus):
             raise ValueError(f"modulus coefficients must lie in range({p})")
-        if m > 1 and not _is_irreducible_mod_p(p, modulus):
+        if not poly_is_irreducible(self.prime_field, modulus):
             raise ReducibleModulus(f"modulus {modulus} factors over GF({p})")
         self.modulus = modulus
-
-        # Reduction vectors for x^t, t = m .. 2m-2, as digit tuples.
-        self._xpow = self._reduction_table()
 
         self._exp = self._log = self._add_table = None
         self.theta = self._find_theta()
@@ -180,22 +180,6 @@ class Field:
 
     # -- construction helpers ---------------------------------------------
 
-    def _reduction_table(self):
-        p, m, mod = self.p, self.m, self.modulus
-        if m == 1:
-            return []
-        table = []
-        cur = [(-mod[i]) % p for i in range(m)]  # digits of x^m
-        table.append(tuple(cur))
-        for _ in range(m + 1, 2 * m - 1):
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                head = table[0]
-                cur = [(cur[i] + carry * head[i]) % p for i in range(m)]
-            table.append(tuple(cur))
-        return table
-
     def _find_theta(self):
         group = self.q - 1
         if group == 1:
@@ -221,24 +205,11 @@ class Field:
         return out
 
     def _mul_direct(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        p, m = self.p, self.m
-        da = self.coeffs(a)
-        db = self.coeffs(b)
-        conv = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ca * cb) % p
-        digits = list(conv[:m])
-        for t in range(m, 2 * m - 1):
-            c = conv[t]
-            if c:
-                red = self._xpow[t - m]
-                for i in range(m):
-                    digits[i] = (digits[i] + c * red[i]) % p
-        return self.from_coeffs(digits)
+        if self.m == 1:
+            return a * b % self.p
+        fp = self.prime_field
+        product = poly_mul(fp, self.coeffs(a), self.coeffs(b))
+        return self.from_coeffs(poly_mod(fp, product, self.modulus))
 
     # -- arithmetic, public -----------------------------------------------
 
@@ -315,21 +286,12 @@ class Field:
     def element_str(self, x):
         """Symbolic form in the power basis, e.g. "1+t^2" for enc 5 over GF(8)."""
         self._check(x)
-        if x == 0:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs(x)):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms)
+        if self.m == 1:
+            return str(x)
+        return poly_str(self.prime_field, self.coeffs(x), var="t")
 
     def __eq__(self, other):
-        if not isinstance(other, Field) or isinstance(other, ExtField):
+        if not isinstance(other, Field):
             return NotImplemented
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
 
@@ -340,24 +302,14 @@ class Field:
         return f"Field(p={self.p}, m={self.m}, modulus={self.modulus})"
 
 
-def _is_irreducible_mod_p(p, modulus):
-    coeff_field = Field(p, 1)
-    return poly_is_irreducible(coeff_field, modulus)
-
-
-def _smallest_irreducible(p, m):
-    if m == 1:
-        return (0, 1)
-    for tail in range(p**m):
-        digits = []
-        t = tail
-        for _ in range(m):
-            digits.append(t % p)
-            t //= p
-        cand = tuple(digits) + (1,)
-        if _is_irreducible_mod_p(p, cand):
+def _smallest_irreducible(field, degree):
+    """The monic irreducible polynomial of the given degree over the field
+    whose lower coefficients, read as digits with the constant term least
+    significant, encode the smallest integer."""
+    for tail in itertools.product(field.elements(), repeat=degree):
+        cand = tail[::-1] + (1,)
+        if poly_is_irreducible(field, cand):
             return cand
-    raise ReducibleModulus(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 def make_field(p, m, modulus=None):
@@ -379,16 +331,19 @@ def field_for_order(q, modulus=None):
 
 
 class ExtField:
-    """Quadratic extension GF(q^2) of a base field, with basis (1, e).
+    """Quadratic extension GF(q^2) = GF(q)[e]/(modulus), with basis (1, e).
 
     The modulus is a monic irreducible quadratic over the base field, given
     as ascending base-field encodings (c0, c1, 1); e denotes the residue
-    class of the extension variable, so e^2 = -c1*e - c0.  ``theta`` is a
-    generator of the multiplicative group and ``beta = theta^(q-1)`` has
-    order exactly q+1.  When the residue e itself has order q+1 the default
-    theta is the smallest-encoding generator with theta^(q-1) == e, which
-    makes beta the residue class; otherwise the smallest-encoding generator
-    is used.
+    class of the extension variable, so e^2 = -c1*e - c0.  The default
+    modulus is the irreducible one with the smallest (c1, c0); it is found
+    and checked by ``poly_is_irreducible`` over the base, ``element_str`` is
+    ``poly_str`` over the base, and the product keeps its closed form.
+    ``theta`` is a generator of the multiplicative group and
+    ``beta = theta^(q-1)`` has order exactly q+1.  When the residue e itself
+    has order q+1 the default theta is the smallest-encoding generator with
+    theta^(q-1) == e, which makes beta the residue class; otherwise the
+    smallest-encoding generator is used.
     """
 
     def __init__(self, base, modulus=None, theta=None):
@@ -399,13 +354,13 @@ class ExtField:
         self.char = base.p
 
         if modulus is None:
-            modulus = self._smallest_quadratic()
+            modulus = _smallest_irreducible(base, 2)
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != 3 or modulus[-1] != 1:
             raise DegreeMismatch(f"modulus must be monic quadratic, got {modulus}")
         for c in modulus[:2]:
             base._check(c)
-        if any(self._eval_quadratic(modulus, x) == 0 for x in base.elements()):
+        if not poly_is_irreducible(base, modulus):
             raise ReducibleModulus(f"quadratic {modulus} has a root in the base field")
         self.modulus = modulus
 
@@ -415,24 +370,13 @@ class ExtField:
             self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.order)
         self.beta = self.pow(self.theta, base.q - 1)
 
-    def _eval_quadratic(self, mod, x):
-        b = self.base
-        return b.add(b.add(mod[0], b.mul(mod[1], x)), b.mul(x, x))
-
-    def _smallest_quadratic(self):
-        b = self.base
-        for c1 in b.elements():
-            for c0 in b.elements():
-                cand = (c0, c1, 1)
-                if all(self._eval_quadratic(cand, x) != 0 for x in b.elements()):
-                    return cand
-        raise ReducibleModulus(f"no irreducible quadratic over GF({b.q})")
-
     def _find_theta(self, override):
         group = self.order - 1
         if override is not None:
             self._check(override)
-            if _multiplicative_order(self._mul_direct, override, group) != group:
+            if override == 0 or (
+                _multiplicative_order(self._mul_direct, override, group) != group
+            ):
                 raise NotPrimitive(
                     f"{override} does not have order {group} in GF({self.order})"
                 )
@@ -550,15 +494,7 @@ class ExtField:
     # -- rendering -----------------------------------------------------------
 
     def element_str(self, x):
-        a, b = self.decompose(x)
-        f = self.base
-        if b == 0:
-            return f.element_str(a)
-        bs = f.element_str(b)
-        epart = "e" if b == 1 else (f"({bs})e" if "+" in bs else f"{bs}e")
-        if a == 0:
-            return epart
-        return f"{f.element_str(a)}+{epart}"
+        return poly_str(self.base, self.decompose(x), var="e")
 
     def __eq__(self, other):
         if not isinstance(other, ExtField):

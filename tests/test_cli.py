@@ -442,6 +442,7 @@ def test_examples_json(capsys):
 def test_examples_unknown_id(capsys):
     code, _, err = run_cli(capsys, "examples", "--id", "12")
     assert code == EXIT_INVALID
+    assert err == "error: no fixture numbered 12\n"
 
 
 def test_sweep_csv_shape_and_determinism(capsys):
@@ -518,6 +519,31 @@ def test_sweep_family_validation(capsys):
     assert "famil" in err
     code, _, err = run_cli(capsys, "sweep", "--q", "5", "--families", "sec9")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("q", ("0", "1", "-3", "6", "3,6"))
+def test_sweep_rejects_sizes_that_are_not_prime_powers(capsys, q):
+    code, out, err = run_cli(capsys, "sweep", f"--q={q}")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {q.split(',')[-1]} is not a prime power\n"
+
+
+def test_sweep_field_without_admissible_codes(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--q", "2", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("command", ("construct", "verify"))
+def test_ext_theta_zero_rejected_above_log_tables(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--family", "sec5c1", "--q", "67", "--k", "1",
+        "--delta", "1", "--ext-theta", "0",
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -33,7 +33,7 @@ def test_fixture_table_is_complete():
         assert fx.claims["mds"] is True
         assert fx.claims["smds"] == (fx.number in SMDS_CLAIMED)
         assert fx.claims["mdp"] == (fx.number in MDP_CLAIMED)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         fixture_by_number(12)
 
 

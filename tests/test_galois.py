@@ -104,6 +104,18 @@ def test_tables_match_direct(q):
             assert ext.mul(a, b) == ext._mul_direct(a, b)
 
 
+@pytest.mark.parametrize("q", (27, 125, 3**8, 2**13))
+def test_mul_matches_oracle(q):
+    # GF(3^8) and GF(2^13) lie above the log-table limit, where _mul_direct
+    # is the only product route.
+    f = field_for_order(q)
+    rng = random.Random(q)
+    pairs = [(1, q - 1), (q - 1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+    for a, b in pairs:
+        assert f.mul(a, b) == _oracle_mul(f, a, b)
+
+
 @pytest.mark.parametrize("p", (4099, 65537))
 def test_prime_field_add_neg_match_direct(p):
     # Above the table limit a prime field adds and negates modulo p.  The
@@ -161,6 +173,15 @@ def test_default_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(2, 3).modulus == (1, 1, 0, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
+    for q, modulus, theta in (
+        (27, (1, 2, 0, 1), 3),
+        (81, (2, 1, 0, 0, 1), 3),
+        (125, (1, 1, 0, 1), 9),
+        (3**8, (2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
+        (2**13, (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    ):
+        f = field_for_order(q)
+        assert (f.modulus, f.theta) == (modulus, theta)
 
 
 def test_theta_is_smallest_primitive():
@@ -226,6 +247,14 @@ def test_element_str():
     assert f.element_str(1) == "1"
     assert f.element_str(2) == "t"
     assert f.element_str(5) == "1+t^2"
+    ext = make_ext_field(f, modulus=(1, 2, 1))
+    assert ext.element_str(8) == "e"
+    assert ext.element_str(9) == "1+e"
+    assert ext.element_str(21) == "1+t^2+te"
+    assert ext.element_str(63) == "1+t+t^2+(1+t+t^2)e"
+    ext81 = make_ext_field(field_for_order(9))
+    assert ext81.element_str(13) == "1+t+e"
+    assert ext81.element_str(40) == "1+t+(1+t)e"
 
 
 # -- polynomial helpers -------------------------------------------------------
@@ -406,5 +435,8 @@ def test_ext_validation():
         make_ext_field(base, modulus=(0, 3, 1))
     with pytest.raises(NotPrimitive):
         make_ext_field(base, theta=1)
+    # Above the log-table limit no table build catches zero.
+    with pytest.raises(NotPrimitive):
+        make_ext_field(field_for_order(67), theta=0)
     with pytest.raises(DegreeMismatch):
         make_ext_field(base, modulus=(1, 1, 1, 1))
