@@ -397,6 +397,8 @@ def cmd_verify(args):
 
 def cmd_examples(args):
     numbers = args.id if args.id is not None else [fx.number for fx in FIXTURES]
+    if not numbers:
+        raise ValueError("no example numbers given")
     results = []
     for number in sorted(set(numbers)):
         fx = fixture_by_number(number)
@@ -460,6 +462,8 @@ def cmd_sweep(args):
         raise ValueError("no families given")
     for name in families:
         family(name)
+    if not args.q:
+        raise ValueError("no field sizes given")
     for q in args.q:
         field_for_order(q)  # rejects a size that is not a prime power
     rows = _sweep_rows(args, families)

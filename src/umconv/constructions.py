@@ -20,6 +20,10 @@ delta), except the even/odd split where it is (q+1, q-tau, tau)):
   sec5p2  length q+1, constacyclic with roots theta*beta^j; needs
           k = q+1 (mod 2).
 
+The three realified builders compute only their points and row split and
+share one tail, ``_realified``: the closure check, the generator downcast,
+the x^(q+1) - norm modulus, realify with its row-count check, the bundle.
+
 FAMILY_TABLE holds one entry per family: its parameter names after q, the
 spec function that alone holds the family's range check and guarantee
 formula, its builder, and whether it is built over GF(q^2).  Builders,
@@ -251,31 +255,38 @@ def sec4_code(q, k, delta, field=None):
     return _bundle(spec, block, h0, h1, gamma, (q, k + delta, delta))
 
 
-def sec5_construction_one(q, k, delta, field=None, ext=None):
-    """Length q+1 cyclic family over the quadratic extension, k = q (mod 2)."""
-    spec = sec5c1_spec(q, k, delta)
-    field = _base_field(q, field)
-    tau = spec.tau
-    gamma = tau + 1 - delta
-    ext = _ext_field(field, ext)
-    beta = ext.beta
-    roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
+def _realified(spec, field, ext, roots, sides, gamma, want):
+    """Tail of the GF(q^2) families: the roots' closure check, their generator
+    over GF(q) dividing x^(q+1) - norm(base point), and the realified sides
+    (points of H0's rows, then H1's): two rows per point, one for the point 1."""
     if not base_field_closure_check(roots):
         raise RuntimeError("root set is not closed under conjugation")
     gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
-    modulus = (field.neg(1),) + (0,) * q + (1,)
-    n = q + 1
-    rows_ext = root_parity_matrix(
-        ext, [ext.pow(beta, j) for j in range(tau + 1)], n
-    )
-    h0 = realify(rows_ext.take_rows(range(gamma)))
-    h1 = realify(rows_ext.take_rows(range(gamma, tau + 1)))
-    if h0.rows != 2 * gamma - 1 or h1.rows != 2 * delta:
+    norm_base, norm_e = ext.decompose(ext.pow(roots.base_point, spec.q + 1))
+    if norm_e:
+        raise RuntimeError("norm of the base point lies outside the base field")
+    modulus = (field.neg(norm_base),) + (0,) * spec.q + (1,)
+    h0, h1 = (realify(root_parity_matrix(ext, points, spec.n)) for points in sides)
+    if [h0.rows, h1.rows] != [2 * len(points) - (1 in points) for points in sides]:
         raise RuntimeError("unexpected realified row counts")
     block = block_code_from_parity(
         field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
     )
-    return _bundle(spec, block, h0, h1, gamma, (n, k + 2 * delta, 2 * delta))
+    return _bundle(spec, block, h0, h1, gamma, want)
+
+
+def sec5_construction_one(q, k, delta, field=None, ext=None):
+    """Length q+1 cyclic family over the quadratic extension, k = q (mod 2)."""
+    spec = sec5c1_spec(q, k, delta)
+    field = _base_field(q, field)
+    ext = _ext_field(field, ext)
+    tau, beta = spec.tau, ext.beta
+    gamma = tau + 1 - delta
+    points = [ext.pow(beta, j) for j in range(tau + 1)]
+    roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
+    sides = (points[:gamma], points[gamma:])
+    want = (q + 1, k + 2 * delta, 2 * delta)
+    return _realified(spec, field, ext, roots, sides, gamma, want)
 
 
 def sec5_construction_two(q, tau, field=None, ext=None):
@@ -285,54 +296,26 @@ def sec5_construction_two(q, tau, field=None, ext=None):
     field = _base_field(q, field)
     ext = _ext_field(field, ext)
     beta = ext.beta
-    n = q + 1
-    evens = [j for j in range(tau + 1) if j % 2 == 0]
-    odds = [j for j in range(tau + 1) if j % 2 == 1]
-    h_even = realify(root_parity_matrix(ext, [ext.pow(beta, j) for j in evens], n))
-    h_odd = realify(root_parity_matrix(ext, [ext.pow(beta, j) for j in odds], n))
-    if h_even.rows != 2 * len(evens) - 1 or h_odd.rows != 2 * len(odds):
-        raise RuntimeError("unexpected realified row counts")
-    h0, h1 = (h_even, h_odd) if h_even.rows > h_odd.rows else (h_odd, h_even)
+    evens = [ext.pow(beta, j) for j in range(0, tau + 1, 2)]
+    odds = [ext.pow(beta, j) for j in range(1, tau + 1, 2)]
+    # The evens hold the point 1, so they realify to one row fewer per count.
+    sides = (evens, odds) if len(evens) > len(odds) else (odds, evens)
     roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau)
-    if not base_field_closure_check(roots):
-        raise RuntimeError("root set is not closed under conjugation")
-    gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
-    modulus = (field.neg(1),) + (0,) * q + (1,)
-    block = block_code_from_parity(
-        field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
-    )
-    return _bundle(spec, block, h0, h1, None, (n, q - tau, tau))
+    return _realified(spec, field, ext, roots, sides, None, (q + 1, q - tau, tau))
 
 
 def sec5_part2_code(q, k, delta, field=None, ext=None):
     """Length q+1 constacyclic family, k = q+1 (mod 2)."""
     spec = sec5p2_spec(q, k, delta)
     field = _base_field(q, field)
-    tau = spec.tau
-    gamma = tau + 1 - delta
     ext = _ext_field(field, ext)
-    theta, beta = ext.theta, ext.beta
+    tau, theta, beta = spec.tau, ext.theta, ext.beta
+    gamma = tau + 1 - delta
+    points = [ext.mul(theta, ext.pow(beta, j)) for j in range(1, tau + 2)]
     roots = RootSpec(ambient=ext, step=beta, lo=-tau, hi=tau + 1, base_point=theta)
-    if not base_field_closure_check(roots):
-        raise RuntimeError("root set is not closed under conjugation")
-    gen = downcast_poly(ext, poly_from_roots(ext, roots.roots()))
-    norm = ext.pow(theta, q + 1)
-    norm_base, norm_e = ext.decompose(norm)
-    if norm_e:
-        raise RuntimeError("norm of theta lies outside the base field")
-    modulus = (field.neg(norm_base),) + (0,) * q + (1,)
-    n = q + 1
-    rows_ext = root_parity_matrix(
-        ext, [ext.mul(theta, ext.pow(beta, j)) for j in range(1, tau + 2)], n
-    )
-    h0 = realify(rows_ext.take_rows(range(gamma)))
-    h1 = realify(rows_ext.take_rows(range(gamma, tau + 1)))
-    if h0.rows != 2 * gamma or h1.rows != 2 * delta:
-        raise RuntimeError("unexpected realified row counts")
-    block = block_code_from_parity(
-        field, h0.vstack(h1), generator_poly=gen, modulus_poly=modulus
-    )
-    return _bundle(spec, block, h0, h1, gamma, (n, k + 2 * delta, 2 * delta))
+    sides = (points[:gamma], points[gamma:])
+    want = (q + 1, k + 2 * delta, 2 * delta)
+    return _realified(spec, field, ext, roots, sides, gamma, want)
 
 
 # -- the family table ----------------------------------------------------------

@@ -16,7 +16,10 @@ gives the same result as its direct route (``_add_direct``, ``_mul_direct``).
 
 Elements of a quadratic extension GF(q^2) over a base GF(q) are encoded the
 same way relative to the basis (1, e), where e is the residue class of the
-extension variable: ``enc(a + e*b) = enc(a) + q * enc(b)``.
+extension variable: ``enc(a + e*b) = enc(a) + q * enc(b)``.  Its base-p
+digits are a's followed by b's, so ``ExtField`` runs on ``Field``'s
+arithmetic; only its product, theta, coordinates, Frobenius map and
+rendering are its own.
 
 The engines (row reduction, both minimum-distance routes, the column search)
 read lookup tables of the field operations, built once per field value and
@@ -129,7 +132,6 @@ class Field:
         self.m = m
         self.q = p**m
         self.order = self.q
-        self.char = p
         self.prime_field = self if m == 1 else Field(p, 1)
 
         if modulus is None:
@@ -175,15 +177,13 @@ class Field:
         return x
 
     def _check(self, x):
-        if not 0 <= x < self.q:
-            raise ValueError(f"{x} is not an element encoding of GF({self.q})")
+        if not 0 <= x < self.order:
+            raise ValueError(f"{x} is not an element encoding of GF({self.order})")
 
     # -- construction helpers ---------------------------------------------
 
     def _find_theta(self):
         group = self.q - 1
-        if group == 1:
-            return 1
         for x in range(1, self.q):
             if _multiplicative_order(self._mul_direct, x, group) == group:
                 return x
@@ -220,6 +220,8 @@ class Field:
             return self._add_table[a][b]
         if self.m == 1:
             return (a + b) % self.p
+        self._check(a)  # a negative code would never run out of digits
+        self._check(b)
         return self._add_direct(a, b)
 
     def neg(self, a):
@@ -228,6 +230,7 @@ class Field:
         p = self.p
         if self.m == 1:
             return -a % p
+        self._check(a)
         out = 0
         mult = 1
         while a:
@@ -250,8 +253,8 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return _pow_by_squaring(self.mul, a, self.q - 2)
+            return self._exp[self.order - 1 - self._log[a]]
+        return _pow_by_squaring(self.mul, a, self.order - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -264,22 +267,22 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        e %= self.q - 1
+        e %= self.order - 1
         if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.q - 1)]
+            return self._exp[self._log[a] * e % (self.order - 1)]
         return _pow_by_squaring(self.mul, a, e)
 
     def order_of(self, x):
         self._check(x)
         if x == 0:
             raise ValueError("zero has no multiplicative order")
-        return _multiplicative_order(self.mul, x, self.q - 1)
+        return _multiplicative_order(self.mul, x, self.order - 1)
 
     def elements(self):
-        return range(self.q)
+        return range(self.order)
 
     def nonzero_elements(self):
-        return range(1, self.q)
+        return range(1, self.order)
 
     # -- rendering ---------------------------------------------------------
 
@@ -336,14 +339,18 @@ class ExtField:
     The modulus is a monic irreducible quadratic over the base field, given
     as ascending base-field encodings (c0, c1, 1); e denotes the residue
     class of the extension variable, so e^2 = -c1*e - c0.  The default
-    modulus is the irreducible one with the smallest (c1, c0); it is found
-    and checked by ``poly_is_irreducible`` over the base, ``element_str`` is
-    ``poly_str`` over the base, and the product keeps its closed form.
-    ``theta`` is a generator of the multiplicative group and
-    ``beta = theta^(q-1)`` has order exactly q+1.  When the residue e itself
-    has order q+1 the default theta is the smallest-encoding generator with
-    theta^(q-1) == e, which makes beta the residue class; otherwise the
-    smallest-encoding generator is used.
+    modulus is the irreducible one with the smallest (c1, c0).  ``theta`` is
+    a generator of the multiplicative group and ``beta = theta^(q-1)`` has
+    order exactly q+1.  When the residue e itself has order q+1 the default
+    theta is the smallest-encoding generator with theta^(q-1) == e, which
+    makes beta the residue class; otherwise the smallest-encoding generator
+    is used.
+
+    The arithmetic is Field's, bound by name in the class body, because the
+    base-p digits of enc(a + e*b) are a's digits followed by b's.  Only the
+    closed-form ``_mul_direct``, the choice of theta, the (1, e)
+    coordinates, ``frobenius``, rendering and equality are this class's
+    own; it is not a Field subclass, so it is never taken for a base field.
     """
 
     def __init__(self, base, modulus=None, theta=None):
@@ -351,7 +358,8 @@ class ExtField:
             raise TypeError("base must be a Field")
         self.base = base
         self.order = base.q * base.q
-        self.char = base.p
+        self.p = base.p
+        self.m = 2 * base.m
 
         if modulus is None:
             modulus = _smallest_irreducible(base, 2)
@@ -364,7 +372,7 @@ class ExtField:
             raise ReducibleModulus(f"quadratic {modulus} has a root in the base field")
         self.modulus = modulus
 
-        self._exp = self._log = None
+        self._exp = self._log = self._add_table = None
         self.theta = self._find_theta(theta)
         if self.order <= _LOG_TABLE_LIMIT:
             self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.order)
@@ -382,16 +390,14 @@ class ExtField:
                 )
             return override
         q = self.base.q
-        residue = q  # enc of e
-        want_residue = (
-            _multiplicative_order(self._mul_direct, residue, group) == q + 1
-        )
+        # q encodes the residue e.
+        want_residue = _multiplicative_order(self._mul_direct, q, group) == q + 1
         for x in range(1, self.order):
             if _multiplicative_order(self._mul_direct, x, group) != group:
                 continue
             if not want_residue:
                 return x
-            if _pow_by_squaring(self._mul_direct, x, q - 1) == residue:
+            if _pow_by_squaring(self._mul_direct, x, q - 1) == q:
                 return x
         raise NotPrimitive(f"no generator found in GF({self.order})")
 
@@ -410,33 +416,22 @@ class ExtField:
     def in_base(self, x):
         return self.decompose(x)[1] == 0
 
-    def _check(self, x):
-        if not 0 <= x < self.order:
-            raise ValueError(f"{x} is not an element encoding of GF({self.order})")
+    # -- arithmetic: Field's, on the digits of the encoding -------------------
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a, b):
-        if self.char == 2:
-            return a ^ b
-        f = self.base
-        a0, a1 = self.decompose(a)
-        b0, b1 = self.decompose(b)
-        return self.compose(f.add(a0, b0), f.add(a1, b1))
-
-    def neg(self, a):
-        if self.char == 2:
-            return a
-        f = self.base
-        a0, a1 = self.decompose(a)
-        return self.compose(f.neg(a0), f.neg(a1))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    _check = Field._check
+    _add_direct = Field._add_direct
+    add = Field.add
+    neg = Field.neg
+    sub = Field.sub
+    mul = Field.mul
+    inv = Field.inv
+    div = Field.div
+    pow = Field.pow
+    order_of = Field.order_of
+    elements = Field.elements
+    nonzero_elements = Field.nonzero_elements
 
     def _mul_direct(self, a, b):
-        if a == 0 or b == 0:
-            return 0
         f = self.base
         a0, a1 = a % f.q, a // f.q
         b0, b1 = b % f.q, b // f.q
@@ -446,50 +441,8 @@ class ExtField:
         r1 = f.sub(f.add(f.mul(a0, b1), f.mul(a1, b0)), f.mul(c1, hi))
         return r0 + f.q * r1
 
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_direct(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return _pow_by_squaring(self.mul, a, self.order - 2)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        self._check(a)
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        e %= self.order - 1
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.order - 1)]
-        return _pow_by_squaring(self.mul, a, e)
-
     def frobenius(self, x):
         return self.pow(x, self.base.q)
-
-    def order_of(self, x):
-        self._check(x)
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        return _multiplicative_order(self.mul, x, self.order - 1)
-
-    def elements(self):
-        return range(self.order)
-
-    def nonzero_elements(self):
-        return range(1, self.order)
 
     # -- rendering -----------------------------------------------------------
 

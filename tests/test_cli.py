@@ -445,6 +445,14 @@ def test_examples_unknown_id(capsys):
     assert err == "error: no fixture numbered 12\n"
 
 
+@pytest.mark.parametrize("ids", ("", ","))
+def test_examples_empty_id_list(capsys, ids):
+    code, out, err = run_cli(capsys, "examples", f"--id={ids}")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: no example numbers given\n"
+
+
 def test_sweep_csv_shape_and_determinism(capsys):
     args = ("sweep", "--q", "4,5", "--jmax", "2")
     code1, out1, _ = run_cli(capsys, *args)
@@ -527,6 +535,14 @@ def test_sweep_rejects_sizes_that_are_not_prime_powers(capsys, q):
     assert code == EXIT_INVALID
     assert out == ""
     assert err == f"error: {q.split(',')[-1]} is not a prime power\n"
+
+
+@pytest.mark.parametrize("q", ("", ","))
+def test_sweep_empty_size_list(capsys, q):
+    code, out, err = run_cli(capsys, "sweep", f"--q={q}")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: no field sizes given\n"
 
 
 def test_sweep_field_without_admissible_codes(capsys):

@@ -1,5 +1,7 @@
 """Family builders: admissible ranges, validation, structure invariants."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -272,3 +274,29 @@ def test_expected_tags_do_not_affect_equality():
     a = FamilySpec(family="sec3", q=8, n=7, k=2, delta=2, expected={"mds": True})
     b = FamilySpec(family="sec3", q=8, n=7, k=2, delta=2, expected=None)
     assert a == b
+
+
+# Realified bundles over fields no fixture uses (the fixtures are all over
+# GF(8)), pinned by the sha256 of their canonical JSON and split distances.
+@pytest.mark.parametrize(
+    "build, args, digest",
+    [
+        (sec5_construction_one, (9, 1, 2),
+         "da05e795fd8bbbb26379c2cade5f322eebfec927496c532b45a24d3cd3265bb8"),
+        (sec5_construction_one, (25, 21, 1),
+         "ffabe8ba4ad04801335fa733c25b482b5906af6d7804052efe22773585bdbe14"),
+        (sec5_construction_one, (27, 23, 1),
+         "5ef943cfd41ceb6799e5176dac9122599609e9daef3cbcf20d69c89d3c6f58a9"),
+        (sec5_construction_two, (16, 3),
+         "10461705e4239da9448aeb7df0e488878be2d11b6fe581724bf1bc66e961dad2"),
+        (sec5_part2_code, (9, 2, 2),
+         "6af655662ca97799f1183cd2b29fb48c0c3439425a74221064c668e3485aeab8"),
+        (sec5_part2_code, (11, 2, 2),
+         "437a0eef625d267ca36be6ba85037ce274b43698b587063ba95192810c206305"),
+    ],
+)
+def test_realified_bundles_pinned(build, args, digest):
+    b = build(*args)
+    payload = {"bundle": b.to_json(), "split_distances": list(b.split_distances)}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

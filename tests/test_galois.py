@@ -393,6 +393,54 @@ def test_ext_arithmetic_oracle(modulus):
             )
 
 
+@pytest.mark.parametrize("q", [7, 9, 25, 67])
+def test_ext_arithmetic_coordinate_oracle(q):
+    # Odd characteristic, extension bases (9, 25) and, at 67^2 = 4489
+    # elements, no log tables: mul and inv take their direct routes.
+    base = field_for_order(q)
+    ext = make_ext_field(base)
+    assert (ext.order > galois._LOG_TABLE_LIMIT) == (q == 67)
+    c0, c1, _ = ext.modulus
+    n = ext.order
+    if n <= 100:
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    for x, y in pairs:
+        a1, b1 = ext.decompose(x)
+        a2, b2 = ext.decompose(y)
+        assert ext.add(x, y) == ext.compose(base.add(a1, a2), base.add(b1, b2))
+        assert ext.sub(x, y) == ext.compose(base.sub(a1, a2), base.sub(b1, b2))
+        assert ext.neg(x) == ext.compose(base.neg(a1), base.neg(b1))
+        # e^2 = -(c0 + c1 e)
+        hi = base.mul(b1, b2)
+        lin = base.sub(base.add(base.mul(a1, b2), base.mul(a2, b1)), base.mul(hi, c1))
+        const = base.sub(base.mul(a1, a2), base.mul(hi, c0))
+        assert ext.mul(x, y) == ext.compose(const, lin)
+        if x:
+            assert ext.mul(x, ext.inv(x)) == 1
+        acc = 1
+        for e in range(5):
+            assert ext.pow(x, e) == acc
+            acc = ext.mul(acc, x)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: field_for_order(3**6), lambda: make_ext_field(field_for_order(7))],
+    ids=["GF(3^6)", "GF(7^2) over GF(7)"],
+)
+def test_digitwise_add_neg_reject_codes_out_of_range(build):
+    # Without an add table, add and neg walk the base-p digits of their
+    # operands; a negative code never runs out of digits, so it must raise.
+    f = build()
+    for bad in (-1, f.order):
+        for call in (lambda: f.add(bad, 1), lambda: f.add(1, bad), lambda: f.neg(bad)):
+            with pytest.raises(ValueError, match="not an element encoding"):
+                call()
+
+
 @pytest.mark.parametrize("modulus", [None, (1, 2, 1)])
 def test_beta_properties(modulus):
     base = make_field(2, 3)

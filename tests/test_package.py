@@ -33,6 +33,11 @@ def test_bench_tracer_installs(monkeypatch):
         tracer.uninstall()
     assert blockcode.min_distance is min_distance
     assert galois.Field.__dict__["mul"] is field_mul
+    # ExtField binds Field's arithmetic by name, so each class holds every
+    # traced op in its own __dict__ and the hooks count the two apart.
+    assert galois.ExtField.__dict__["mul"] is galois.Field.__dict__["mul"]
+    assert galois.ExtField.__dict__["add"] is galois.Field.__dict__["add"]
+    assert set(hooks._FIELD_OPS) <= set(galois.ExtField.__dict__)
 
 
 def test_bench_tracer_sees_construct_boundaries(monkeypatch):
