@@ -28,10 +28,6 @@ class DuplicatePoints(ValueError):
     """Evaluation points are not pairwise distinct."""
 
 
-class ZeroMultiplier(ValueError):
-    """Column multiplier of an evaluation parity check is zero."""
-
-
 class BudgetExceeded(RuntimeError):
     """Search budget exhausted; lower_bound holds the best proven bound."""
 
@@ -114,27 +110,16 @@ def root_parity_matrix(field, roots, n):
     return FMatrix(field, [[field.pow(r, i) for i in range(n)] for r in roots])
 
 
-def evaluation_parity_matrix(field, points, r, multipliers=None):
-    """Parity check with entry (j, i) = multipliers[i] * points[i]^j.
+def evaluation_parity_matrix(field, points, r):
+    """Parity check with entry (j, i) = points[i]^j.
 
     The convention 0^0 = 1 applies, so the zero point contributes the column
-    (u_i, 0, ..., 0).  Multipliers default to all ones.
+    (1, 0, ..., 0).
     """
     points = tuple(points)
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"repeated evaluation point in {points}")
-    if multipliers is None:
-        multipliers = (1,) * len(points)
-    multipliers = tuple(multipliers)
-    if len(multipliers) != len(points):
-        raise ValueError("one multiplier per evaluation point required")
-    if any(u == 0 for u in multipliers):
-        raise ZeroMultiplier("zero column multiplier")
-    rows = [
-        [field.mul(u, field.pow(v, j)) for v, u in zip(points, multipliers)]
-        for j in range(r)
-    ]
-    return FMatrix(field, rows)
+    return FMatrix(field, [[field.pow(v, j) for v in points] for j in range(r)])
 
 
 def realify(ext_matrix):

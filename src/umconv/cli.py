@@ -2,7 +2,9 @@
 
 Subcommands: field (inspect a finite field), construct (build one code),
 verify (classify a bundle), examples (regenerate the pinned examples),
-sweep (classify every admissible tuple of the guaranteed ranges).
+sweep (classify every admissible tuple of the guaranteed ranges).  Every
+output and exit code is rendered from one document per report, its
+``to_json()``; `field` prints the dict it dumps, a sweep's CSV its JSON rows.
 
 Exit codes: 0 success, 1 a claimed property was refuted or a pinned
 example mismatched, 2 invalid parameters, 3 a claimed property left
@@ -28,10 +30,11 @@ from .constructions import (
     family,
 )
 from .convcode import (
+    DEFAULT_BUDGET,
+    DEFAULT_JMAX,
     BudgetExceeded,
     ConvCodeDesc,
     PolyMatrix,
-    Verdict,
     classify,
 )
 from .fixtures import FIXTURES, check_fixture, fixture_by_number
@@ -74,12 +77,15 @@ def _add_common(parser):
 
 def _add_classify_opts(parser):
     parser.add_argument(
-        "--jmax", type=_nonnegative_int, default=4, help="last column-distance window"
+        "--jmax",
+        type=_nonnegative_int,
+        default=DEFAULT_JMAX,
+        help="last column-distance window",
     )
     parser.add_argument(
         "--budget",
         type=_nonnegative_int,
-        default=10_000_000,
+        default=DEFAULT_BUDGET,
         help="total search-step budget",
     )
 
@@ -224,32 +230,31 @@ def _print_json(obj):
 def cmd_field(args):
     modulus = tuple(args.modulus) if args.modulus is not None else None
     field = make_field(args.p, args.m, modulus=modulus)
-    if args.format == "json":
-        out = {
-            "p": field.p,
-            "m": field.m,
-            "q": field.q,
-            "modulus": list(field.modulus),
-            "modulus_str": poly_str(field, field.modulus, var="t"),
-            "theta": field.theta,
-            "theta_str": field.element_str(field.theta),
-        }
-        if args.tables:
-            els = field.elements()
-            out["add"] = [[field.add(a, b) for b in els] for a in els]
-            out["mul"] = [[field.mul(a, b) for b in els] for a in els]
-        _print_json(out)
-        return EXIT_OK
-    print(f"GF({field.q}) = GF({field.p}^{field.m})")
-    print(f"modulus   {poly_str(field, field.modulus, var='t')}")
-    print(f"theta     {field.theta} = {field.element_str(field.theta)}")
+    out = {
+        "p": field.p,
+        "m": field.m,
+        "q": field.q,
+        "modulus": list(field.modulus),
+        "modulus_str": poly_str(field, field.modulus, var="t"),
+        "theta": field.theta,
+        "theta_str": field.element_str(field.theta),
+    }
     if args.tables:
         els = field.elements()
-        width = len(str(field.q - 1))
-        for name, op in (("add", field.add), ("mul", field.mul)):
+        out["add"] = [[field.add(a, b) for b in els] for a in els]
+        out["mul"] = [[field.mul(a, b) for b in els] for a in els]
+    if args.format == "json":
+        _print_json(out)
+        return EXIT_OK
+    print(f"GF({out['q']}) = GF({out['p']}^{out['m']})")
+    print(f"modulus   {out['modulus_str']}")
+    print(f"theta     {out['theta']} = {out['theta_str']}")
+    if args.tables:
+        width = len(str(out["q"] - 1))
+        for name in ("add", "mul"):
             print(f"{name} table:")
-            for a in els:
-                print("  " + " ".join(f"{op(a, b):>{width}}" for b in els))
+            for row in out[name]:
+                print("  " + " ".join(f"{x:>{width}}" for x in row))
     return EXIT_OK
 
 
@@ -331,39 +336,37 @@ def _bundle_from_json(data):
     return desc, expected
 
 
-def _budget_hit(report):
-    return any(c.get("type") == "budget-exhausted" for c in report.certificates)
+def _budget_hit(doc):
+    return any(c["type"] == "budget-exhausted" for c in doc["certificates"])
 
 
-def _verdict_exit(report, expected):
-    verdicts = report.verdicts()
+def _verdict_exit(doc, expected):
+    verdicts = doc["verdicts"]
     claimed = [v for p, v in verdicts.items() if expected.get(p)]
-    if Verdict.REFUTED in claimed:
+    if "refuted" in claimed:
         return EXIT_REFUTED
     # A claim left open exits 3 whether the budget or --jmax stopped the search.
-    if Verdict.INCONCLUSIVE in claimed:
+    if "inconclusive" in claimed:
         return EXIT_BUDGET
-    if _budget_hit(report) and Verdict.INCONCLUSIVE in verdicts.values():
+    if _budget_hit(doc) and "inconclusive" in verdicts.values():
         return EXIT_BUDGET
     return EXIT_OK
 
 
-def _render_report(report, expected):
-    cds = " ".join(f"d{j}={d}" for j, d in sorted(report.column_distances.items()))
+def _render_report(doc, expected):
+    cds = " ".join(f"d{j}={d}" for j, d in doc["column_distances"].items())
     lines = [
-        f"code ({report.desc.n},{report.desc.k},{report.desc.delta})  "
-        f"nu={report.desc.nu}  singleton={report.singleton_bound}  "
-        f"M={report.M}  L={report.L}",
-        f"column distances  {cds}" if cds else "column distances  none computed",
-        f"dfree in [{report.dfree_lower},{report.dfree_upper}]",
-        "verdicts "
-        + " ".join(f"{prop}={v.value}" for prop, v in report.verdicts().items()),
+        f"code ({doc['n']},{doc['k']},{doc['delta']})  nu={doc['nu']}  "
+        f"singleton={doc['singleton_bound']}  M={doc['M']}  L={doc['L']}",
+        f"column distances  {cds}",
+        "dfree in [{},{}]".format(*doc["dfree"]),
+        "verdicts " + " ".join(f"{p}={v}" for p, v in doc["verdicts"].items()),
     ]
     if expected:
         lines.append(
             "expected " + " ".join(f"{k}={v}" for k, v in sorted(expected.items()))
         )
-    for cert in report.certificates:
+    for cert in doc["certificates"]:
         lines.append("certificate " + json.dumps(cert, sort_keys=True))
     return "\n".join(lines)
 
@@ -375,21 +378,16 @@ def cmd_verify(args):
     if args.input is not None:
         text = sys.stdin.read() if args.input == "-" else open(args.input).read()
         desc, expected = _bundle_from_json(json.loads(text))
-        report = classify(desc, jmax=args.jmax, budget=args.budget)
+        certs = None
     else:
         bundle = _construct_from_args(args)
-        expected = bundle.expected
-        report = classify(
-            bundle.desc,
-            certs=bundle.split_distances,
-            jmax=args.jmax,
-            budget=args.budget,
-        )
+        desc, expected, certs = bundle.desc, bundle.expected, bundle.split_distances
+    doc = classify(desc, certs=certs, jmax=args.jmax, budget=args.budget).to_json()
     if args.format == "json":
-        _print_json(report.to_json())
+        _print_json(doc)
     else:
-        print(_render_report(report, expected))
-    return _verdict_exit(report, expected)
+        print(_render_report(doc, expected))
+    return _verdict_exit(doc, expected)
 
 
 # -- examples ----------------------------------------------------------------
@@ -399,46 +397,42 @@ def cmd_examples(args):
     numbers = args.id if args.id is not None else [fx.number for fx in FIXTURES]
     if not numbers:
         raise ValueError("no example numbers given")
-    results = []
+    entries = []
     for number in sorted(set(numbers)):
-        fx = fixture_by_number(number)
-        results.append(check_fixture(fx, jmax=args.jmax, budget=args.budget))
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "number": r["number"],
-                    "ok": r["ok"],
-                    "failures": r["failures"],
-                    "report": r["report"].to_json(),
-                }
-                for r in results
-            ]
+        r = check_fixture(fixture_by_number(number), jmax=args.jmax, budget=args.budget)
+        entries.append(
+            {key: r[key] for key in ("number", "ok", "failures")}
+            | {"report": r["report"].to_json()}
         )
+    if args.format == "json":
+        _print_json(entries)
     else:
-        for r in results:
-            rep = r["report"]
-            status = "ok" if r["ok"] else "MISMATCH"
+        for e in entries:
+            status = "ok" if e["ok"] else "MISMATCH"
+            lo, hi = e["report"]["dfree"]
             print(
-                f"example {r['number']:2d}  {status:8s} "
-                f"dfree=[{rep.dfree_lower},{rep.dfree_upper}]  "
-                + " ".join(f"{p}={v.value}" for p, v in rep.verdicts().items())
+                f"example {e['number']:2d}  {status:8s} dfree=[{lo},{hi}]  "
+                + " ".join(f"{p}={v}" for p, v in e["report"]["verdicts"].items())
             )
-            for failure in r["failures"]:
+            for failure in e["failures"]:
                 for line in failure.splitlines():
                     print("    " + line)
-    if args.check and any(not r["ok"] for r in results):
+    if args.check and any(not e["ok"] for e in entries):
         return EXIT_REFUTED
-    if any(_budget_hit(r["report"]) for r in results):
+    if any(_budget_hit(e["report"]) for e in entries):
         return EXIT_BUDGET
     return EXIT_OK
 
 
 # -- sweep ---------------------------------------------------------------------
 
+# The report keys a sweep row copies, between the bundle's q and expected.
+_ROW_KEYS = ("n", "k", "delta", "column_distances", "dfree", "verdicts")
+
 
 def _sweep_rows(args, families):
-    rows = []
+    """One JSON row per admissible code, sorted, and the row exit codes."""
+    rows, codes = [], set()
     for q in sorted(set(args.q)):
         for spec in admissible_parameters(q, families=families):
             start = time.perf_counter()
@@ -450,10 +444,16 @@ def _sweep_rows(args, families):
                 budget=args.budget,
             )
             elapsed_ms = int((time.perf_counter() - start) * 1000)
-            rows.append((spec, bundle, report, elapsed_ms))
+            doc = report.to_json()
+            codes.add(_verdict_exit(doc, bundle.expected))
+            rows.append(
+                {"family": bundle.family, "q": bundle.q}
+                | {key: doc[key] for key in _ROW_KEYS}
+                | {"expected": dict(bundle.expected), "ms_elapsed": elapsed_ms}
+            )
     # Order by the emitted columns, which carry the convolutional parameters.
-    rows.sort(key=lambda row: (row[1].q, row[1].family, row[1].n, row[1].k, row[1].delta))
-    return rows
+    rows.sort(key=lambda r: (r["q"], r["family"], r["n"], r["k"], r["delta"]))
+    return rows, codes
 
 
 def cmd_sweep(args):
@@ -466,33 +466,13 @@ def cmd_sweep(args):
         raise ValueError("no field sizes given")
     for q in args.q:
         field_for_order(q)  # rejects a size that is not a prime power
-    rows = _sweep_rows(args, families)
-
-    codes = {_verdict_exit(report, bundle.expected) for _, bundle, report, _ in rows}
+    rows, codes = _sweep_rows(args, families)
     # A refuted claim in any row outranks a claim left open in another.
     exit_code = next((c for c in (EXIT_REFUTED, EXIT_BUDGET) if c in codes), EXIT_OK)
-
-    jcols = list(range(args.jmax + 1))
     if args.format == "json":
-        payload = [
-            {
-                "family": bundle.family,
-                "q": bundle.q,
-                "n": bundle.n,
-                "k": bundle.k,
-                "delta": bundle.delta,
-                "column_distances": {
-                    str(j): d for j, d in sorted(report.column_distances.items())
-                },
-                "dfree": [report.dfree_lower, report.dfree_upper],
-                "verdicts": {p: v.value for p, v in report.verdicts().items()},
-                "expected": dict(bundle.expected),
-                "ms_elapsed": elapsed,
-            }
-            for _, bundle, report, elapsed in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+        text = json.dumps(rows, indent=2) + "\n"
+    else:  # the JSON rows projected onto the CSV columns
+        jcols = [str(j) for j in range(args.jmax + 1)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
@@ -500,18 +480,13 @@ def cmd_sweep(args):
             + [f"d{j}c" for j in jcols]
             + ["dfree_lo", "dfree_hi", "mds", "smds", "mdp", "ms_elapsed"]
         )
-        for _, bundle, report, elapsed in rows:
+        for row in rows:
             writer.writerow(
-                [bundle.family, bundle.q, bundle.n, bundle.k, bundle.delta]
-                + [report.column_distances.get(j, "") for j in jcols]
-                + [
-                    report.dfree_lower,
-                    report.dfree_upper,
-                    report.mds.value,
-                    report.strongly_mds.value,
-                    report.mdp.value,
-                    elapsed,
-                ]
+                [row[key] for key in ("family", "q", "n", "k", "delta")]
+                + [row["column_distances"].get(j, "") for j in jcols]
+                + row["dfree"]
+                + list(row["verdicts"].values())
+                + [row["ms_elapsed"]]
             )
         text = buf.getvalue()
     if args.output is not None:

@@ -233,6 +233,11 @@ def singleton_and_indices(n, k, delta):
     return bound, m_index, l_index
 
 
+def _cap(kappa, j):
+    """Per-window cap kappa (j + 1) + 1 on the column distance d_j."""
+    return kappa * (j + 1) + 1
+
+
 def dfree_bounds(desc, block_d, d0, dm=None):
     """Certified free-distance bounds from the three block distances.
 
@@ -615,7 +620,7 @@ class _ColumnSearch:
     def distance(self, j):
         if j in self._dist:
             return self._dist[j]
-        cap = self.kappa * (j + 1) + 1
+        cap = _cap(self.kappa, j)
         if self._d0 is None:
             self._d0 = min_distance(self.h0)
         if j == 0:
@@ -669,7 +674,7 @@ def _column_distance_support(desc, j, budget):
 
     sliding = sliding_matrix(desc.parity, j)
     n = desc.n
-    cap = (desc.n - desc.k) * (j + 1) + 1
+    cap = _cap(desc.n - desc.k, j)
     spend = _Budget(budget).spend
     for w in range(1, cap + 1):
         for support in combinations(range(sliding.cols), w):
@@ -721,7 +726,13 @@ class ConvReport:
         return {"mds": self.mds, "smds": self.strongly_mds, "mdp": self.mdp}
 
 
-def classify(desc, certs=None, jmax=4, budget=10_000_000):
+# classify's last column-distance window and step budget, shared with the CLI
+# and check_fixture.
+DEFAULT_JMAX = 4
+DEFAULT_BUDGET = 10_000_000
+
+
+def classify(desc, certs=None, jmax=DEFAULT_JMAX, budget=DEFAULT_BUDGET):
     """Full MDS / strongly-MDS / maximal-distance-profile classification.
 
     certs may carry precomputed (block_d, d0, dm) block distances.  Column
@@ -767,7 +778,7 @@ def classify(desc, certs=None, jmax=4, budget=10_000_000):
             }
             break
     for j in sorted(dists):
-        cap_j = kappa * (j + 1) + 1
+        cap_j = _cap(kappa, j)
         if dists[j] > cap_j:
             raise PropertyViolation(f"d_{j} = {dists[j]} exceeds its cap {cap_j}")
         if dists[j] > upper:
@@ -778,11 +789,11 @@ def classify(desc, certs=None, jmax=4, budget=10_000_000):
             raise PropertyViolation(f"column distances decrease at window {j}")
     if saturated_from is not None:
         certificates.append({"type": "saturation", "from_j": saturated_from})
-    cap_hits = [j for j in dists if dists[j] == kappa * (j + 1) + 1]
+    cap_hits = [j for j in dists if dists[j] == _cap(kappa, j)]
     cascade_ok = True
     if cap_hits:
         top = max(cap_hits)
-        cascade_ok = all(dists[i] == kappa * (i + 1) + 1 for i in range(top + 1))
+        cascade_ok = all(dists[i] == _cap(kappa, i) for i in range(top + 1))
     certificates.append({"type": "cascade", "ok": cascade_ok})
     best_cd = max(dists.values(), default=0)
     lower = max(cert_lower, best_cd)
@@ -811,7 +822,7 @@ def classify(desc, certs=None, jmax=4, budget=10_000_000):
         return Verdict.INCONCLUSIVE
 
     smds = window_verdict(m_index, bound)
-    mdp = window_verdict(l_index, kappa * (l_index + 1) + 1)
+    mdp = window_verdict(l_index, _cap(kappa, l_index))
     return ConvReport(
         desc=desc,
         singleton_bound=bound,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import construct_family, family
-from .convcode import Verdict, classify, minimality_check
+from .convcode import DEFAULT_BUDGET, DEFAULT_JMAX, Verdict, classify, minimality_check
 from .galois import make_ext_field, make_field
 from .linalg import FMatrix
 
@@ -277,7 +277,7 @@ def build_fixture(fx):
     return construct_family(family(fx.family).spec(*fx.args), field=base, ext=ext)
 
 
-def check_fixture(fx, jmax=4, budget=10_000_000):
+def check_fixture(fx, jmax=DEFAULT_JMAX, budget=DEFAULT_BUDGET):
     """Re-derive a fixture and compare against every pinned value.
 
     Returns {"number", "ok", "failures", "bundle", "report"}.  Claims are

@@ -147,13 +147,10 @@ class Field:
             raise ReducibleModulus(f"modulus {modulus} factors over GF({p})")
         self.modulus = modulus
 
-        self._exp = self._log = self._add_table = None
+        self._exp = self._log = None
         self.theta = self._find_theta()
         if self.q <= _LOG_TABLE_LIMIT:
             self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.q)
-        if self.p != 2 and self.q <= _OP_TABLE_LIMIT:
-            elems = range(self.q)
-            self._add_table = [[self._add_direct(a, b) for b in elems] for a in elems]
 
     # -- encoding ---------------------------------------------------------
 
@@ -212,25 +209,26 @@ class Field:
         return self.from_coeffs(poly_mod(fp, product, self.modulus))
 
     # -- arithmetic, public -----------------------------------------------
+    # Each op checks its codes inline: a fast path would answer for a bad one.
 
     def add(self, a, b):
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            self._check(a)
+            self._check(b)
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
         if self.m == 1:
             return (a + b) % self.p
-        self._check(a)  # a negative code would never run out of digits
-        self._check(b)
         return self._add_direct(a, b)
 
     def neg(self, a):
+        if not 0 <= a < self.order:
+            self._check(a)
         if self.p == 2:
             return a
         p = self.p
         if self.m == 1:
             return -a % p
-        self._check(a)
         out = 0
         mult = 1
         while a:
@@ -243,6 +241,9 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            self._check(a)
+            self._check(b)
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
@@ -250,7 +251,8 @@ class Field:
         return self._mul_direct(a, b)
 
     def inv(self, a):
-        if a == 0:
+        if not 0 < a < self.order:
+            self._check(a)
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
@@ -372,7 +374,7 @@ class ExtField:
             raise ReducibleModulus(f"quadratic {modulus} has a root in the base field")
         self.modulus = modulus
 
-        self._exp = self._log = self._add_table = None
+        self._exp = self._log = None
         self.theta = self._find_theta(theta)
         if self.order <= _LOG_TABLE_LIMIT:
             self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.order)

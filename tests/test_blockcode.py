@@ -60,11 +60,6 @@ def test_evaluation_parity_matrix_entries():
             assert mat[j, i] == f.pow(pt, j)
     assert mat[0, 0] == 1  # 0^0
     assert mat[1, 0] == 0
-    mults = [1, 2, 3, 4]
-    scaled = evaluation_parity_matrix(f, points, 2, multipliers=mults)
-    for j in range(2):
-        for i, pt in enumerate(points):
-            assert scaled[j, i] == f.mul(mults[i], f.pow(pt, j))
 
 
 def test_parity_constructor_validation():
@@ -72,10 +67,6 @@ def test_parity_constructor_validation():
         root_parity_matrix(F8, [1, 1], 4)
     with pytest.raises(DuplicatePoints):
         evaluation_parity_matrix(F8, [0, 3, 3], 2)
-    from umconv.blockcode import ZeroMultiplier
-
-    with pytest.raises(ZeroMultiplier):
-        evaluation_parity_matrix(F8, [0, 1], 2, multipliers=[1, 0])
 
 
 def test_generator_from_roots_and_closure():

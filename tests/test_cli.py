@@ -439,6 +439,107 @@ def test_examples_json(capsys):
     assert data[0]["report"]["dfree"] == [6, 6]
 
 
+# Full stdout and exit code of commands whose output other tools parse.
+_VERIFY_SEC4 = ("verify", "--family", "sec4", "--q", "8", "--k", "2", "--delta", "2")
+_BLOCK_SPLIT = (
+    'certificate {"block_d": 7, "d0": 5, "dm": 1, "lower": 6, '
+    '"type": "block-split", "upper": 7}\n'
+)
+
+
+def test_verify_text_pinned(capsys):
+    code, out, _ = run_cli(capsys, *_VERIFY_SEC4, "--budget", "20000")
+    assert code == EXIT_OK
+    assert out == (
+        "code (8,4,2)  nu=1  singleton=7  M=1  L=0\n"
+        "column distances  d0=5 d1=7 d2=7 d3=7 d4=7\n"
+        "dfree in [7,7]\n"
+        "verdicts mds=confirmed smds=confirmed mdp=confirmed\n"
+        "expected mdp=True mds=True smds=True\n"
+        + _BLOCK_SPLIT
+        + 'certificate {"from_j": 2, "type": "saturation"}\n'
+        'certificate {"ok": true, "type": "cascade"}\n'
+        'certificate {"j": 1, "type": "column-distance", "value": 7}\n'
+    )
+
+
+def test_verify_text_budget_exhausted_pinned(capsys):
+    code, out, _ = run_cli(capsys, *_VERIFY_SEC4, "--budget", "3000")
+    assert code == EXIT_BUDGET
+    assert out == (
+        "code (8,4,2)  nu=1  singleton=7  M=1  L=0\n"
+        "column distances  d0=5\n"
+        "dfree in [6,7]\n"
+        "verdicts mds=inconclusive smds=inconclusive mdp=confirmed\n"
+        "expected mdp=True mds=True smds=True\n"
+        + _BLOCK_SPLIT
+        + 'certificate {"ok": true, "type": "cascade"}\n'
+        'certificate {"j": 1, "lower_bound": 7, "type": "budget-exhausted"}\n'
+    )
+
+
+def _saturated_report(n, k, d0, dm, bound):
+    return {
+        "n": n, "k": k, "delta": 2, "nu": 1, "singleton_bound": bound,
+        "M": 1, "L": 0,
+        "column_distances": {"0": d0, **{str(j): bound for j in range(1, 5)}},
+        "dfree": [bound, bound],
+        "verdicts": {"mds": "confirmed", "smds": "confirmed", "mdp": "confirmed"},
+        "certificates": [
+            {"type": "block-split", "block_d": bound, "d0": d0, "dm": dm,
+             "lower": bound, "upper": bound},
+            {"type": "saturation", "from_j": 2},
+            {"type": "cascade", "ok": True},
+        ],
+    }
+
+
+def test_examples_pinned(capsys):
+    code, out, _ = run_cli(capsys, "examples", "--id", "1,10")
+    assert code == EXIT_OK
+    assert out == (
+        "example  1  ok       dfree=[6,6]  mds=confirmed smds=confirmed mdp=confirmed\n"
+        "example 10  ok       dfree=[9,9]  mds=confirmed smds=confirmed mdp=confirmed\n"
+    )
+    code, out, _ = run_cli(capsys, "examples", "--id", "1,10", "--format", "json")
+    assert code == EXIT_OK
+    expected = [
+        {"number": 1, "ok": True, "failures": [], "report": _saturated_report(7, 4, 4, 3, 6)},
+        {"number": 10, "ok": True, "failures": [], "report": _saturated_report(9, 3, 7, 3, 9)},
+    ]
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_field_text_tables_pinned(capsys):
+    code, out, _ = run_cli(capsys, "field", "--p", "3", "--m", "2", "--tables")
+    assert code == EXIT_OK
+    assert out == (
+        "GF(9) = GF(3^2)\n"
+        "modulus   1+t^2\n"
+        "theta     4 = 1+t\n"
+        "add table:\n"
+        "  0 1 2 3 4 5 6 7 8\n"
+        "  1 2 0 4 5 3 7 8 6\n"
+        "  2 0 1 5 3 4 8 6 7\n"
+        "  3 4 5 6 7 8 0 1 2\n"
+        "  4 5 3 7 8 6 1 2 0\n"
+        "  5 3 4 8 6 7 2 0 1\n"
+        "  6 7 8 0 1 2 3 4 5\n"
+        "  7 8 6 1 2 0 4 5 3\n"
+        "  8 6 7 2 0 1 5 3 4\n"
+        "mul table:\n"
+        "  0 0 0 0 0 0 0 0 0\n"
+        "  0 1 2 3 4 5 6 7 8\n"
+        "  0 2 1 6 8 7 3 5 4\n"
+        "  0 3 6 2 5 8 1 4 7\n"
+        "  0 4 8 5 6 1 7 2 3\n"
+        "  0 5 7 8 1 3 4 6 2\n"
+        "  0 6 3 1 7 4 2 8 5\n"
+        "  0 7 5 4 2 6 8 3 1\n"
+        "  0 8 4 7 3 2 5 1 6\n"
+    )
+
+
 def test_examples_unknown_id(capsys):
     code, _, err = run_cli(capsys, "examples", "--id", "12")
     assert code == EXIT_INVALID
@@ -471,6 +572,26 @@ def test_sweep_csv_shape_and_determinism(capsys):
     data_rows = [line.split(",") for line in lines1[1:]]
     keys = [(int(r[1]), r[0], int(r[2]), int(r[3]), int(r[4])) for r in data_rows]
     assert keys == sorted(keys)
+
+
+def test_sweep_csv_rows_project_json_rows(capsys):
+    args = ("sweep", "--q", "3,4", "--jmax", "2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    header, *lines = out.splitlines()
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert len(lines) == len(rows) > 1
+    for line, row in zip(lines, rows):
+        cds = row["column_distances"]
+        projected = (
+            [row["family"], row["q"], row["n"], row["k"], row["delta"]]
+            + [cds.get(str(j), "") for j in range(3)]
+            + row["dfree"]
+            + [row["verdicts"][p] for p in ("mds", "smds", "mdp")]
+        )
+        assert line.rsplit(",", 1)[0] == ",".join(map(str, projected))
 
 
 def test_sweep_output_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic against independent brute-force oracles."""
 
+import functools
 import random
 
 import numpy as np
@@ -428,15 +429,25 @@ def test_ext_arithmetic_coordinate_oracle(q):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: field_for_order(3**6), lambda: make_ext_field(field_for_order(7))],
-    ids=["GF(3^6)", "GF(7^2) over GF(7)"],
+    [
+        lambda: field_for_order(3**6),
+        lambda: make_ext_field(field_for_order(7)),
+        *(functools.partial(field_for_order, q) for q in (2, 7, 8, 9, 257)),
+    ],
+    ids=["GF(3^6)", "GF(7^2) over GF(7)", "GF(2)", "GF(7)", "GF(8)", "GF(9)", "GF(257)"],
 )
 def test_digitwise_add_neg_reject_codes_out_of_range(build):
-    # Without an add table, add and neg walk the base-p digits of their
-    # operands; a negative code never runs out of digits, so it must raise.
+    # Every public op raises on a code outside range(order), on each of its
+    # routes: XOR, % p, digit walks, log tables and the direct product.  A
+    # negative code would never run out of digits, and a table would index it.
     f = build()
     for bad in (-1, f.order):
-        for call in (lambda: f.add(bad, 1), lambda: f.add(1, bad), lambda: f.neg(bad)):
+        calls = (
+            lambda: f.add(bad, 1), lambda: f.add(1, bad), lambda: f.neg(bad),
+            lambda: f.sub(bad, 1), lambda: f.sub(1, bad),
+            lambda: f.mul(bad, 1), lambda: f.mul(0, bad), lambda: f.inv(bad),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match="not an element encoding"):
                 call()
 

@@ -1,9 +1,12 @@
 """Package surface: the export list and the benchmark's tracing hooks."""
 
+import json
 from pathlib import Path
 
+import pytest
+
 import umconv
-from umconv import blockcode, constructions, galois
+from umconv import blockcode, cli, constructions, galois
 from umconv.constructions import FamilySpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -58,3 +61,28 @@ def test_bench_tracer_sees_construct_boundaries(monkeypatch):
     finally:
         tracer.uninstall()
     hooks.check_crossed("construct", hooks.layer_totals(tracer.spans(), tracer.counts))
+
+
+@pytest.mark.parametrize("workload", ["sweep", "verify-perm"])
+def test_bench_tracer_sees_cli_boundaries(monkeypatch, tmp_path, capsys, workload):
+    # The traced sweep and verify-perm runs go through cli.main; each must
+    # still cross every boundary it requires, e.g. the column search's rref.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import hooks
+
+    if workload == "sweep":
+        out = tmp_path / "rows.json"
+        argv = ["sweep", "--q", "3", "--format", "json", "--output", str(out)]
+    else:
+        spec = FamilySpec(family="sec4", q=5, n=5, k=2, delta=1)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(constructions.construct_family(spec).to_json()))
+        argv = ["verify", "--input", str(path), "--format", "json"]
+    tracer = hooks.Tracer()
+    tracer.install()
+    try:
+        tracer.set_code(workload)
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    hooks.check_crossed(workload, hooks.layer_totals(tracer.spans(), tracer.counts))
