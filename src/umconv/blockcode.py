@@ -18,6 +18,7 @@ from .galois import (
 from .linalg import FMatrix, nullspace, rank
 
 _ENUMERATION_LIMIT = 2**20
+_MIN_DISTANCE_MEMO = {}  # parity FMatrix -> proven distance; see min_distance
 
 
 class DuplicateRoots(ValueError):
@@ -212,7 +213,15 @@ def min_distance(parity, budget=None):
     one codeword per line, (q^k - 1)/(q - 1) words, since scalar multiples
     share a weight; any disagreement raises, and the two routes are
     independent.
+
+    An unbudgeted call is memoized for the life of the process, keyed by
+    the FMatrix itself (its field, modulus included, and its entries), so
+    each distinct matrix is proven and cross-checked once.  Only completed
+    values are stored.  A call with a budget neither reads nor writes the
+    memo, so it always spends its steps.
     """
+    if budget is None and parity in _MIN_DISTANCE_MEMO:
+        return _MIN_DISTANCE_MEMO[parity]
     r = rank(parity)
     if r == 0:
         return 1
@@ -227,6 +236,8 @@ def min_distance(parity, budget=None):
             raise RuntimeError(
                 f"minimum distance mismatch: column search {d}, enumeration {d_enum}"
             )
+    if budget is None:
+        _MIN_DISTANCE_MEMO[parity] = d
     return d
 
 

@@ -318,6 +318,12 @@ def _check_bundle(data):
         and all(isinstance(v, bool) for v in expected.values())
     ):
         raise ValueError("bundle expected must map each property to true or false")
+    unknown = sorted(set(expected or ()) - {"mds", "smds", "mdp"})
+    if unknown:
+        raise ValueError(
+            f"bundle expected names unknown property {unknown[0]!r}; "
+            "known: mds, smds, mdp"
+        )
 
 
 def _bundle_from_json(data):
@@ -327,12 +333,12 @@ def _bundle_from_json(data):
     parity = PolyMatrix(field, coeffs)
     desc = ConvCodeDesc.from_parity(parity)
     expected = data.get("expected") or {}
-    stated = (data.get("n"), data.get("k"), data.get("delta"))
-    if None not in stated and stated != (desc.n, desc.k, desc.delta):
-        raise ValueError(
-            f"bundle states parameters {stated}, parity gives "
-            f"{(desc.n, desc.k, desc.delta)}"
-        )
+    for key in ("n", "k", "delta"):
+        if data.get(key) is not None and data[key] != getattr(desc, key):
+            raise ValueError(
+                f"bundle states {key}={data[key]}, parity gives "
+                f"{(desc.n, desc.k, desc.delta)}"
+            )
     return desc, expected
 
 

@@ -55,8 +55,46 @@ class NotPrimitive(ValueError):
     """Element does not generate the multiplicative group."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# 3,317,044,064,679,887,385,961,981 (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
-    return _prime_factors(n) == [n]
+    """Deterministic Miller-Rabin test; exact for every n it answers."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to test for primality exactly")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(q, m):
+    """The largest r with r^m <= q, for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + q // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 def _prime_factors(n):
@@ -311,8 +349,9 @@ def _smallest_irreducible(field, degree):
     """The monic irreducible polynomial of the given degree over the field
     whose lower coefficients, read as digits with the constant term least
     significant, encode the smallest integer."""
-    for tail in itertools.product(field.elements(), repeat=degree):
-        cand = tail[::-1] + (1,)
+    q = field.order
+    for code in range(q**degree):
+        cand = tuple(code // q**i % q for i in range(degree)) + (1,)
         if poly_is_irreducible(field, cand):
             return cand
 
@@ -323,16 +362,18 @@ def make_field(p, m, modulus=None):
 
 
 def field_for_order(q, modulus=None):
-    """GF(q) for a prime power q, factoring q as p^m."""
-    factors = _prime_factors(q)
-    if len(factors) != 1:
+    """GF(q) for a prime power q = p^m.
+
+    m is the largest exponent for which q has an exact integer m-th root r;
+    q is a prime power exactly when r is prime, which Field tests once.
+    """
+    if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = factors[0]
-    m = 0
-    while q > 1:
-        q //= p
-        m += 1
-    return make_field(p, m, modulus=modulus)
+    m = next(m for m in range(q.bit_length(), 0, -1) if _integer_root(q, m) ** m == q)
+    try:
+        return make_field(_integer_root(q, m), m, modulus=modulus)
+    except NotPrime:
+        raise ValueError(f"{q} is not a prime power") from None
 
 
 class ExtField:

@@ -336,6 +336,62 @@ def test_min_distance_cross_check_guard(monkeypatch):
     assert calls == [21]
 
 
+def test_min_distance_memo_proves_each_matrix_once(distance_route_calls):
+    calls = distance_route_calls
+    rng = random.Random(503)
+    mats = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field_for_order(q)
+        for _ in range(4):
+            n = rng.randint(3, 8)
+            rows = _random_parity(rng, f, n, rng.randint(1, n - 1), rng.randint(0, 1))
+            mats.append(FMatrix(f, rows))
+    f257 = field_for_order(257)
+    mats.append(FMatrix(f257, [[1, 2, 3, 2, 7], [4, 5, 6, 5, 0], [1, 1, 2, 1, 9]]))
+    for mat in mats:
+        want = _oracle_min_distance(mat)
+        calls.clear()
+        assert min_distance(mat) == want
+        assert "_dependency_min_weight" in calls or rank(mat) == 0
+        calls.clear()
+        assert min_distance(mat) == want
+        # A separately built matrix with equal entries is the same key.
+        assert min_distance(FMatrix(mat.field, mat.to_lists())) == want
+        assert calls == []
+
+
+def test_min_distance_memo_keys_on_the_modulus(distance_route_calls):
+    calls = distance_route_calls
+    rows = [[1, 2, 3, 4, 5], [0, 1, 4, 7, 8]]
+    default = FMatrix(field_for_order(9), rows)
+    other = FMatrix(field_for_order(9, modulus=(2, 1, 1)), rows)
+    assert default.field.modulus != other.field.modulus
+    assert min_distance(default) == _oracle_min_distance(default)
+    calls.clear()
+    assert min_distance(other) == _oracle_min_distance(other)
+    assert "_dependency_min_weight" in calls
+
+
+def test_min_distance_memo_leaves_budgeted_calls_alone():
+    roots = [F8.pow(F8.theta, i) for i in range(4)]
+    mat = root_parity_matrix(F8, roots, 7)
+    assert min_distance(mat) == 5
+    with pytest.raises(BudgetExceeded):
+        min_distance(mat, budget=97)
+    assert min_distance(mat, budget=98) == 5
+
+
+def test_min_distance_memo_stores_no_failed_proof(monkeypatch):
+    roots = [F8.pow(F8.theta, i) for i in range(4)]
+    mat = root_parity_matrix(F8, roots, 7)
+    with monkeypatch.context() as m:
+        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: 4)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            min_distance(mat)
+    assert blockcode._MIN_DISTANCE_MEMO == {}
+    assert min_distance(mat) == 5
+
+
 def test_block_code_from_parity():
     roots = [F8.pow(F8.theta, i) for i in range(5)]
     mat = root_parity_matrix(F8, roots, 7)

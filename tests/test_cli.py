@@ -366,6 +366,35 @@ def test_verify_rejects_malformed_bundle_types(mutate):
     assert err.startswith("error: bundle") and err.count("\n") == 1
 
 
+def test_verify_rejects_unknown_expected_property():
+    # A claim under a key verify does not check would be dropped silently.
+    data = {"q": 5, "parity": {"coeffs": [[[1, 1, 1]], [[1, 1, 0]]]},
+            "expected": {"MDS": True}}
+    code, out, err = _run_verify_json(data)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: bundle expected") and "'MDS'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("n", 7), ("k", 2), ("delta", 0)])
+def test_verify_checks_each_stated_parameter(key, value):
+    # The parity gives (2,1,1); each stated parameter is compared on its own.
+    data = {"q": 5, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}, key: value}
+    code, out, err = _run_verify_json(data)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: bundle states {key}={value}, parity gives (2, 1, 1)\n"
+
+
+def test_verify_bundle_over_a_61_bit_prime_field():
+    # Neither primality nor the default modulus may walk the field.
+    data = {"q": 2**61 - 1, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+    code, _, err = _run_verify_json(data)
+    assert code in (EXIT_INVALID, EXIT_BUDGET)
+    assert "Traceback" not in err
+
+
 def _locations(node, out):
     """Every (container, key) slot of a JSON tree."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -33,6 +33,18 @@ def test_admissible_q3_single_tuple():
     assert (spec.family, spec.q, spec.n, spec.k, spec.delta) == ("sec4", 3, 3, 1, 1)
 
 
+def test_sweep_construction_proves_each_block_distance_once(distance_route_calls):
+    # The same block matrices recur across a family table; min_distance's
+    # memo proves each distinct one once per process (without it, 423
+    # dependency searches and 376 enumerations).
+    specs = [s for q in (3, 4, 5, 7, 8, 9) for s in admissible_parameters(q)]
+    assert len(specs) == 141
+    for spec in specs:
+        construct_family(spec)
+    assert distance_route_calls.count("_dependency_min_weight") == 270
+    assert distance_route_calls.count("_enumeration_min_weight") == 226
+
+
 def test_admissible_q8_contains_known_smds_points():
     specs = admissible_parameters(8)
     keyed = {(s.family, s.n, s.k, s.delta): s for s in specs}

@@ -233,13 +233,41 @@ def test_field_validation():
 
 
 def test_field_for_order_factors_once(monkeypatch):
-    # The characteristic is q's one prime factor, found by trial division
-    # up to sqrt(q), not by a primality test of every p <= q.
+    # The characteristic is q's largest exact integer root, tested for
+    # primality once, not by a primality test of every p <= q.
     calls = []
     is_prime = galois._is_prime
     monkeypatch.setattr(galois, "_is_prime", lambda n: calls.append(n) or is_prime(n))
     assert field_for_order(1_000_003).order == 1_000_003
     assert len(calls) <= 1
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(
+        galois._is_prime(n) == _trial_division_is_prime(n) for n in range(10**5)
+    )
+    assert galois._is_prime(2**61 - 1)
+    assert not galois._is_prime((2**31 - 1) ** 2)
+    assert not galois._is_prime(561)  # Carmichael numbers
+    assert not galois._is_prime(41041)
+    with pytest.raises(ValueError, match="too large"):
+        galois._is_prime(2**89 - 1)
+
+
+def test_field_for_order_large_prime():
+    # q = 2^61 - 1 is prime: no trial division up to sqrt(q), and the default
+    # modulus x is found without listing the field.
+    f = field_for_order(2**61 - 1)
+    assert (f.p, f.m, f.modulus) == (2**61 - 1, 1, (0, 1))
+    f = field_for_order(3**5)
+    assert (f.p, f.m) == (3, 5)
+    for q in (36, 10**20, (2**31 - 1) ** 2 * 2):
+        with pytest.raises(ValueError, match="not a prime power"):
+            field_for_order(q)
 
 
 def test_element_str():

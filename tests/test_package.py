@@ -77,6 +77,9 @@ def test_bench_tracer_sees_cli_boundaries(monkeypatch, tmp_path, capsys, workloa
         spec = FamilySpec(family="sec4", q=5, n=5, k=2, delta=1)
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(constructions.construct_family(spec).to_json()))
+        # A bench worker starts with an empty min_distance memo; building the
+        # bundle here must not let the traced verify skip the block layer.
+        blockcode._MIN_DISTANCE_MEMO.clear()
         argv = ["verify", "--input", str(path), "--format", "json"]
     tracer = hooks.Tracer()
     tracer.install()
