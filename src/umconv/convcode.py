@@ -8,6 +8,7 @@ strongly-MDS and maximal-distance-profile properties.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -327,25 +328,25 @@ class _Layer:
 
 
 class _ColumnSearch:
-    """Exact column distances by block-sequential branch and bound.
+    """Exact column distances by best-first search over the blocks.
 
     The sliding system couples consecutive blocks only through the carry
-    H1 v_{i-1}, so the search walks the blocks left to right with the carry
-    as state, iteratively deepening on the total weight W.  A level-W pass
-    enumerates, per block, the solutions of H0 v = t of each exact weight
-    (supports in lexicographic order, full-support solutions only, so each
-    solution is seen exactly once); distinct solutions with equal carry
-    collapse.  The final block only needs the minimum solution weight F(t),
-    precomputed as a coset-leader table when the syndrome space is small
-    (`_build_f_table`) and found by first-hit support search otherwise.
-    Exhausting level W proves d > W, so the first witness level is the
-    exact distance.
+    -H1 v_{i-1}, the target of block i's system H0 v_i = t, so a window's
+    search state is (block i, target t).  Each state is expanded weight by
+    weight over the solutions of H0 v = t of that exact weight (supports in
+    lexicographic order, full-support solutions only, so each solution is
+    seen exactly once); distinct solutions with equal carry collapse.  The
+    heuristic is F(t), the least weight of a solution of H0 v = t: it never
+    overestimates the rest of the path, and the last block costs exactly
+    F(t).  F is a coset-leader table when the syndrome space is small
+    (`_build_f_table`) and a first-hit support search otherwise.  So the
+    first path to block j that leaves the heap has weight d_j, and an
+    exhausted budget still proves the priority it was expanding.
 
     The supports of each weight are row-reduced once, on first use, into
     one numpy layer (`_Layer`), so solving one target on every support of
-    that weight is a few array operations over lookup tables.  With the
-    table, the targets a query leaves are tested against the weight left
-    in one gather (`_reaches`), and the last block is settled there.
+    that weight is a few array operations over lookup tables, and F of all
+    the carries it leaves is one gather from the table.
     """
 
     def __init__(self, desc, budget=None, d0=None):
@@ -371,7 +372,6 @@ class _ColumnSearch:
         self._layers = {}
         self._sol_cache = {}
         self._fmin_cache = {0: 0}
-        self._memo = {}
         self._dist = {}
         self._d0 = d0
         self._ftable = None
@@ -584,71 +584,62 @@ class _ColumnSearch:
         self._sol_cache[key] = result
         return result
 
-    def _reaches(self, m, targets, limit):
-        """Whether m further blocks solving into one of the targets fit in
-        weight limit, trying the targets in order.
-
-        With the coset-leader table, one gather drops every target whose
-        F(t) exceeds the limit, and the last block (m == 1) needs nothing
-        more.  The targets left are tried as the scalar loop tries them, so
-        every `_solutions` call and budget charge stays where it was.
-        """
-        if self._ftable is not None:
-            targets = targets[self._ftable[targets] <= limit]
-            if m == 1:
-                return bool(targets.size)
-        return any(self._exists(m, t, limit) for t in targets.tolist())
-
-    def _exists(self, m, t_enc, limit):
-        """Whether m further blocks solving into target t fit in weight limit."""
-        fmin = self._f_min(t_enc)
-        if fmin > limit:
-            return False
-        if m == 1:
-            return True
-        key = (m, t_enc, limit)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = any(
-            self._reaches(m - 1, self._solutions(t_enc, w), limit - w)
-            for w in range(fmin, min(limit, self.n) + 1)
-        )
-        self._memo[key] = result
-        return result
-
     def distance(self, j):
         if j in self._dist:
             return self._dist[j]
         cap = _cap(self.kappa, j)
         if self._d0 is None:
             self._d0 = min_distance(self.h0)
-        if j == 0:
-            d = self._d0
-            if d > cap:
-                raise PropertyViolation(f"d_0 = {d} exceeds its cap {cap}")
-        else:
-            start = self.distance(j - 1)
-            d = None
-            for level in range(start, cap + 1):
-                try:
-                    if self._witness_at(j, level):
-                        d = level
-                        break
-                except BudgetExceeded as e:
-                    raise BudgetExceeded(str(e), lower_bound=level) from None
-            if d is None:
-                raise PropertyViolation(
-                    f"no weight <= {cap} kernel vector with nonzero first block "
-                    f"at window {j}"
-                )
+        d = self._d0 if j == 0 else self._search(j, cap)
+        if d > cap:
+            raise PropertyViolation(f"d_{j} = {d} exceeds its cap {cap}")
         self._dist[j] = d
         return d
 
-    def _witness_at(self, j, level):
-        return any(
-            self._reaches(j, self._solutions(0, w0), level - w0)
-            for w0 in range(self._d0, min(level, self.n) + 1)
+    def _search(self, j, cap):
+        """d_j by best-first search over the nodes (block i, target t).
+
+        A heap entry (priority, -i, t, w) solves H0 v_i = t at weight w
+        after weight g = priority - w on blocks 0..i-1; a node enters at
+        w = F(t), and block 0 at w = d_0 with t = 0.  Popping an entry
+        pushes the same node at weight w + 1 and each carry t' of
+        `_solutions(t, w)` as a node of block i + 1 at g + w + F(t').
+        Every push is at least the priority popped, so priorities pop in
+        nondecreasing order: a node's first push has its least g, so it is
+        pushed once, and the first block-j pop is d_j.  Ties pop the deepest
+        block first, so nothing is pushed above the cap or above the
+        cheapest block-j node pushed so far.  When the budget runs out,
+        every path cheaper than the priority being expanded has been
+        searched, so that priority is a proven lower bound.
+        """
+        d0, n, ftable, limit = self._d0, self.n, self._ftable, cap
+        reached = [set() for _ in range(j + 1)]  # targets pushed, per block
+        heap = [(d0, 0, 0, d0)]
+        while heap:
+            priority, neg_i, t, w = heapq.heappop(heap)
+            if -neg_i == j:
+                return priority
+            if w < n and priority < limit:
+                heapq.heappush(heap, (priority + 1, neg_i, t, w + 1))
+            try:
+                carries = self._solutions(t, w)
+                if ftable is None:
+                    fmins = np.array([self._f_min(c) for c in carries.tolist()])
+                else:
+                    fmins = ftable[carries]
+            except BudgetExceeded as e:
+                raise BudgetExceeded(str(e), lower_bound=priority) from None
+            if 1 - neg_i == j and fmins.size:  # a path to block j bounds d_j
+                limit = min(limit, priority + int(fmins.min()))
+            keep = fmins <= limit - priority
+            seen = reached[1 - neg_i]
+            for c, f in zip(carries[keep].tolist(), fmins[keep].tolist()):
+                if c not in seen:
+                    seen.add(c)
+                    heapq.heappush(heap, (priority + f, neg_i - 1, c, f))
+        raise PropertyViolation(
+            f"no weight <= {cap} kernel vector with nonzero first block "
+            f"at window {j}"
         )
 
 

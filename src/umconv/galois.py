@@ -98,13 +98,20 @@ def _integer_root(q, m):
 
 
 def _prime_factors(n):
+    """Distinct prime factors of n, ascending.  Trial division stops once
+    the cofactor is 1 or prime, and gives up past 2^20, so it always
+    finishes below 2^40."""
     out = []
     d = 2
-    while d * d <= n:
+    done = n < 2 or _is_prime(n)
+    while not done:
+        if d > 2**20:
+            raise ValueError(f"cannot factor {n}: no prime factor below 2^20")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = n == 1 or _is_prime(n)
         d += 1
     if n > 1:
         out.append(n)

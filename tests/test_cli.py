@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import umconv
 from umconv import cli
 from umconv.cli import (
     EXIT_BUDGET,
@@ -388,11 +390,23 @@ def test_verify_checks_each_stated_parameter(key, value):
 
 
 def test_verify_bundle_over_a_61_bit_prime_field():
-    # Neither primality nor the default modulus may walk the field.
-    data = {"q": 2**61 - 1, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
-    code, _, err = _run_verify_json(data)
-    assert code in (EXIT_INVALID, EXIT_BUDGET)
-    assert "Traceback" not in err
+    # Neither primality nor the default modulus may walk the field.  The
+    # second q is a safe prime, 2p + 1 with p prime: factoring q - 1 for
+    # theta stops at the prime cofactor p instead of dividing up to sqrt(p).
+    for q in (2**61 - 1, 2305843009213691579):
+        data = {"q": q, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+        code, _, err = _run_verify_json(data)
+        assert code in (EXIT_INVALID, EXIT_BUDGET)
+        assert "Traceback" not in err
+
+
+def test_verify_bundle_whose_group_order_does_not_factor():
+    # q - 1 = 2 * 1048583 * 1048681: the cofactor past 2 is composite with
+    # no prime factor below 2^20, so the field is rejected in one line.
+    data = {"q": 2199258138047, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+    code, out, err = _run_verify_json(data)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: cannot factor 1099629069023: no prime factor below 2^20\n"
 
 
 def _locations(node, out):
@@ -713,10 +727,15 @@ def test_ext_theta_zero_rejected_above_log_tables(capsys, command):
 
 
 def test_console_entry_point():
+    # The child imports umconv from where this process did, whether that
+    # came from PYTHONPATH or from pytest's own pythonpath setting.
+    src = os.path.dirname(os.path.dirname(umconv.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "umconv.cli", "field", "--p", "2", "--m", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "GF(8)" in proc.stdout

@@ -436,28 +436,43 @@ def test_batched_search_against_support_and_brute_force(q, route, monkeypatch):
     assert rows_with_free_columns > 0
 
 
-def test_batched_search_every_budget():
+def test_batched_search_every_budget(monkeypatch):
     # Every budget below the exact need raises, every query answered under
     # any budget has the unlimited answer, and the layers never hold more
     # rows than the budget: rows are built only for supports already paid.
+    # The raising window's lower bound is proven: d_{j-1} <= bound <= d_j.
+    # Both F(t) routes: with the coset-leader table, and first-hit without.
     pm = _random_unit_memory(random.Random(3), F8, 5, 2, 1)
     desc = ConvCodeDesc.from_parity(pm)
+    for limit in (convcode._F_TABLE_LIMIT, 0):
+        monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", limit)
+        _check_every_budget(desc, first_hit=limit == 0)
 
+
+def _check_every_budget(desc, first_hit):
     def run(budget):
         engine = _ColumnSearch(desc, budget=budget)
+        dists = []
         try:
-            dists = [engine.distance(j) for j in range(3)]
-        except BudgetExceeded:
-            dists = None
-        return dists, engine
+            for j in range(3):
+                dists.append(engine.distance(j))
+        except BudgetExceeded as e:
+            return dists, e.lower_bound, engine
+        return dists, None, engine
 
     big = 10**12
-    want, full = run(big)
+    want, _, full = run(big)
+    assert (full._ftable is None) == first_hit
     need = big - full.budget.remaining
     assert _layer_rows(full) <= need
     for budget in range(need + 1):
-        dists, engine = run(budget)
-        assert dists == (want if budget == need else None), budget
+        dists, bound, engine = run(budget)
+        assert dists == want[: len(dists)], budget
+        if budget == need:
+            assert dists == want and bound is None
+        else:
+            j = len(dists)
+            assert 1 <= j < 3 and want[j - 1] <= bound <= want[j], (budget, bound)
         assert all(
             np.array_equal(full._sol_cache[key], v)
             for key, v in engine._sol_cache.items()
@@ -596,12 +611,17 @@ def test_classify_budget_inconclusive():
         pytest.param(lambda: sec3_code(8, 7, 2, 2), 1680, id="sec3-q8"),
         pytest.param(lambda: sec5_part2_code(7, 2, 1), 4600, id="sec5p2-q7"),
         # The (9,5,4) code, the slowest of the q <= 8 sweep.
-        pytest.param(lambda: sec5_part2_code(8, 1, 2), 294_258, id="sec5p2-q8"),
+        pytest.param(lambda: sec5_part2_code(8, 1, 2), 177_414, id="sec5p2-q8"),
+        # The (9,3,2) code: 8^6 syndromes, so F(t) comes from the first-hit
+        # support search, which spends budget too.
+        pytest.param(lambda: sec5_part2_code(8, 1, 1), 18_005, id="sec5p2-q8-first-hit"),
     ],
 )
 def test_classify_budget_step_counts(bundle, steps):
-    # Exact step counts: the search spends its budget at fixed points, so a
-    # change to how it solves per-support systems must leave these unchanged.
+    # Exact step counts: the budget is charged per query, so these hold
+    # while the search makes the same queries in the same order.  They move
+    # when the search changes which queries it makes, and not when it
+    # changes how one query is answered.
     b = bundle()
 
     def exhausted(budget):

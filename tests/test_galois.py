@@ -1,6 +1,7 @@
 """Field arithmetic against independent brute-force oracles."""
 
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -235,9 +236,12 @@ def test_field_validation():
 def test_field_for_order_factors_once(monkeypatch):
     # The characteristic is q's largest exact integer root, tested for
     # primality once, not by a primality test of every p <= q.
+    # Theta's search factors q - 1 with primality tests of its own, so it
+    # factors by plain trial division here, and only the first are counted.
     calls = []
     is_prime = galois._is_prime
     monkeypatch.setattr(galois, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    monkeypatch.setattr(galois, "_prime_factors", _trial_division_factors)
     assert field_for_order(1_000_003).order == 1_000_003
     assert len(calls) <= 1
 
@@ -256,6 +260,51 @@ def test_is_prime_matches_trial_division():
     assert not galois._is_prime(41041)
     with pytest.raises(ValueError, match="too large"):
         galois._is_prime(2**89 - 1)
+
+
+def _trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_stop_at_a_prime_cofactor():
+    # The division ends once the cofactor is prime, so a safe prime's
+    # q - 1 = 2p factors at once; a composite cofactor with no factor below
+    # 2^20 raises instead of running on.
+    assert all(
+        galois._prime_factors(n) == _trial_division_factors(n)
+        for n in range(1, 20_000)
+    )
+    assert galois._prime_factors(2305843009213691578) == [2, 1152921504606845789]
+    assert galois._prime_factors(2**61 - 2) == [
+        2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321
+    ]
+    with pytest.raises(ValueError, match="cannot factor 1099629069023"):
+        galois._prime_factors(2 * 1048583 * 1048681)
+
+
+def test_default_moduli_and_thetas_pinned():
+    # Default modulus and theta of every field of at most 4096 elements and
+    # of the quadratic extension over each one of at most 64, as the plain
+    # trial division of q - 1 found them.
+    fields = []
+    for q in range(2, 4097):
+        try:
+            fields.append(field_for_order(q))
+        except ValueError:
+            continue
+    exts = [make_ext_field(f) for f in fields if f.order <= 64]
+    rows = [(f.order, f.modulus, f.theta) for f in fields + exts]
+    assert len(rows) == 631
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "36ddf86c9aed86f7573f91459872cd49edb6aed76a72ca3422a15e900acf6536"
+    )
 
 
 def test_field_for_order_large_prime():
