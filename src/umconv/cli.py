@@ -463,7 +463,8 @@ def _sweep_rows(args, families):
 
 
 def cmd_sweep(args):
-    families = tuple(f for f in args.families.split(",") if f)
+    # A repeated family is dropped, as a repeated --q is, keeping the order.
+    families = tuple(dict.fromkeys(f for f in args.families.split(",") if f))
     if not families:
         raise ValueError("no families given")
     for name in families:

@@ -440,9 +440,7 @@ class _ColumnSearch:
         self._ftable = table.ravel(order="F")
 
     def _f_min(self, t_enc):
-        """Minimum weight of a solution of H0 v = t."""
-        if self._ftable is not None:
-            return int(self._ftable[t_enc])
+        """Minimum weight of a solution of H0 v = t, when there is no f-table."""
         cached = self._fmin_cache.get(t_enc)
         if cached is not None:
             return cached

@@ -2,10 +2,13 @@
 
 GF(p^m) is the ring GF(p)[t]/(f) for a monic irreducible f of degree m, and
 GF(q^2) over a base GF(q) is GF(q)[e]/(g) for a monic irreducible quadratic
-g.  Both are built from the polynomial helpers at the end of this module:
-the product of GF(p^m) is ``poly_mul`` reduced by ``poly_mod`` over GF(p),
-every modulus is checked (and every default found) by
-``poly_is_irreducible``, and elements are rendered by ``poly_str``.
+g.  Both get their modulus, the primes of their group order, their
+generator theta and their log tables from one helper, ``_build``: the group
+order is factored once, before anything else, and every modulus is checked
+(and every default found) by ``poly_is_irreducible``, Ben-Or's test, which
+is polynomial in the degree.  The product of GF(p^m) is ``poly_mul``
+reduced by ``poly_mod`` over GF(p), and elements are rendered by
+``poly_str``.
 
 Elements of GF(p^m) are plain Python integers in ``range(q)``: the element
 with power-basis coordinates (c0, ..., c_{m-1}) is encoded as
@@ -30,7 +33,6 @@ way, that call the field's own operations.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 import numpy as np
@@ -118,10 +120,11 @@ def _prime_factors(n):
     return out
 
 
-def _multiplicative_order(mul, x, group_order):
-    """Order of x in a cyclic group of the given order, via prime factors."""
+def _multiplicative_order(mul, x, group_order, primes):
+    """Order of x in a cyclic group of the given order, whose distinct prime
+    factors are `primes`."""
     order = group_order
-    for ell in _prime_factors(group_order):
+    for ell in primes:
         while order % ell == 0:
             y = _pow_by_squaring(mul, x, order // ell)
             if y != 1:
@@ -145,15 +148,75 @@ def _log_tables(mul, theta, n):
     return exp, log
 
 
-def _pow_by_squaring(mul, x, e):
-    r = 1
-    b = x
+def _pow_by_squaring(mul, x, e, one=1):
+    r, b = one, x
     while e:
         if e & 1:
             r = mul(r, b)
         b = mul(b, b)
         e >>= 1
     return r
+
+
+def _build(field, coeffs, degree, modulus, theta=None, prefer=None):
+    """Give a field whose order is set its group primes, modulus, theta and
+    log tables; its ``_mul_direct`` reads the modulus.
+
+    The group order is factored first, so an order that cannot be factored
+    is rejected before any modulus search.  A given modulus must be monic of
+    the given degree over ``coeffs``, with coefficients in range, and
+    irreducible.  The default is the irreducible one whose lower
+    coefficients, read as digits with the constant term least significant,
+    encode the smallest integer.  A given theta must generate the group.
+    The default is the smallest generator; when ``prefer`` = (k, r) names an
+    element r of order (order - 1) / k, it is the smallest generator with
+    theta^k = r.  x generates when x^(group / l) != 1 for every prime l of
+    the group order; the test stops at the first l that fails.
+    """
+    group = field.order - 1
+    field._primes = primes = _prime_factors(group)
+    q = coeffs.order
+    if modulus is None:
+        candidates = (
+            tuple(code // q**i % q for i in range(degree)) + (1,)
+            for code in range(q**degree)
+        )
+        modulus = next(f for f in candidates if poly_is_irreducible(coeffs, f))
+    else:
+        modulus = tuple(int(c) for c in modulus)
+        if len(modulus) != degree + 1 or modulus[-1] != 1:
+            raise DegreeMismatch(
+                f"modulus must be monic of degree {degree}, got coefficients {modulus}"
+            )
+        if any(not 0 <= c < q for c in modulus):
+            raise ValueError(f"modulus coefficients must lie in range({q})")
+        if not poly_is_irreducible(coeffs, modulus):
+            raise ReducibleModulus(f"modulus {modulus} factors over GF({q})")
+    field.modulus = modulus
+    mul = field._mul_direct
+
+    def generates(x):
+        return x != 0 and all(
+            _pow_by_squaring(mul, x, group // ell) != 1 for ell in primes
+        )
+
+    if theta is not None:
+        field._check(theta)
+        if not generates(theta):
+            raise NotPrimitive(f"{theta} does not have order {group} in GF({field.order})")
+    else:
+        k, r = prefer or (1, None)
+        if r is not None and _multiplicative_order(mul, r, group, primes) != group // k:
+            r = None
+        theta = next(
+            x
+            for x in range(1, field.order)
+            if (r is None or _pow_by_squaring(mul, x, k) == r) and generates(x)
+        )
+    field.theta = theta
+    field._exp = field._log = None
+    if field.order <= _LOG_TABLE_LIMIT:
+        field._exp, field._log = _log_tables(mul, theta, field.order)
 
 
 class Field:
@@ -163,9 +226,9 @@ class Field:
     given as an ascending coefficient tuple.  When omitted, the monic
     irreducible polynomial with the smallest integer encoding is used, and
     ``theta`` defaults to the element of multiplicative order q-1 with the
-    smallest encoding.  ``prime_field`` is GF(p), the field itself when
-    m = 1; the direct product, the irreducibility test of the modulus and
-    ``element_str`` are the polynomial helpers over it.
+    smallest encoding; ``_build`` sets both.  ``prime_field`` is GF(p), the
+    field itself when m = 1; the direct product, the irreducibility test of
+    the modulus and ``element_str`` are the polynomial helpers over it.
     """
 
     def __init__(self, p, m, modulus=None):
@@ -175,27 +238,9 @@ class Field:
             raise ValueError(f"extension degree must be positive, got {m}")
         self.p = p
         self.m = m
-        self.q = p**m
-        self.order = self.q
+        self.q = self.order = p**m
         self.prime_field = self if m == 1 else Field(p, 1)
-
-        if modulus is None:
-            modulus = _smallest_irreducible(self.prime_field, m)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise DegreeMismatch(
-                f"modulus must be monic of degree {m}, got coefficients {modulus}"
-            )
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError(f"modulus coefficients must lie in range({p})")
-        if not poly_is_irreducible(self.prime_field, modulus):
-            raise ReducibleModulus(f"modulus {modulus} factors over GF({p})")
-        self.modulus = modulus
-
-        self._exp = self._log = None
-        self.theta = self._find_theta()
-        if self.q <= _LOG_TABLE_LIMIT:
-            self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.q)
+        _build(self, self.prime_field, m, modulus)
 
     # -- encoding ---------------------------------------------------------
 
@@ -221,15 +266,6 @@ class Field:
     def _check(self, x):
         if not 0 <= x < self.order:
             raise ValueError(f"{x} is not an element encoding of GF({self.order})")
-
-    # -- construction helpers ---------------------------------------------
-
-    def _find_theta(self):
-        group = self.q - 1
-        for x in range(1, self.q):
-            if _multiplicative_order(self._mul_direct, x, group) == group:
-                return x
-        raise NotPrimitive(f"no generator found in GF({self.q})")  # unreachable
 
     # -- arithmetic, direct routes ----------------------------------------
 
@@ -323,7 +359,7 @@ class Field:
         self._check(x)
         if x == 0:
             raise ValueError("zero has no multiplicative order")
-        return _multiplicative_order(self.mul, x, self.order - 1)
+        return _multiplicative_order(self.mul, x, self.order - 1, self._primes)
 
     def elements(self):
         return range(self.order)
@@ -350,17 +386,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={self.modulus})"
-
-
-def _smallest_irreducible(field, degree):
-    """The monic irreducible polynomial of the given degree over the field
-    whose lower coefficients, read as digits with the constant term least
-    significant, encode the smallest integer."""
-    q = field.order
-    for code in range(q**degree):
-        cand = tuple(code // q**i % q for i in range(degree)) + (1,)
-        if poly_is_irreducible(field, cand):
-            return cand
 
 
 def make_field(p, m, modulus=None):
@@ -394,13 +419,13 @@ class ExtField:
     order exactly q+1.  When the residue e itself has order q+1 the default
     theta is the smallest-encoding generator with theta^(q-1) == e, which
     makes beta the residue class; otherwise the smallest-encoding generator
-    is used.
+    is used.  ``_build`` sets modulus and theta, as it does for Field.
 
     The arithmetic is Field's, bound by name in the class body, because the
     base-p digits of enc(a + e*b) are a's digits followed by b's.  Only the
-    closed-form ``_mul_direct``, the choice of theta, the (1, e)
-    coordinates, ``frobenius``, rendering and equality are this class's
-    own; it is not a Field subclass, so it is never taken for a base field.
+    closed-form ``_mul_direct``, the (1, e) coordinates, ``frobenius``,
+    rendering and equality are this class's own; it is not a Field
+    subclass, so it is never taken for a base field.
     """
 
     def __init__(self, base, modulus=None, theta=None):
@@ -410,46 +435,9 @@ class ExtField:
         self.order = base.q * base.q
         self.p = base.p
         self.m = 2 * base.m
-
-        if modulus is None:
-            modulus = _smallest_irreducible(base, 2)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != 3 or modulus[-1] != 1:
-            raise DegreeMismatch(f"modulus must be monic quadratic, got {modulus}")
-        for c in modulus[:2]:
-            base._check(c)
-        if not poly_is_irreducible(base, modulus):
-            raise ReducibleModulus(f"quadratic {modulus} has a root in the base field")
-        self.modulus = modulus
-
-        self._exp = self._log = None
-        self.theta = self._find_theta(theta)
-        if self.order <= _LOG_TABLE_LIMIT:
-            self._exp, self._log = _log_tables(self._mul_direct, self.theta, self.order)
-        self.beta = self.pow(self.theta, base.q - 1)
-
-    def _find_theta(self, override):
-        group = self.order - 1
-        if override is not None:
-            self._check(override)
-            if override == 0 or (
-                _multiplicative_order(self._mul_direct, override, group) != group
-            ):
-                raise NotPrimitive(
-                    f"{override} does not have order {group} in GF({self.order})"
-                )
-            return override
-        q = self.base.q
         # q encodes the residue e.
-        want_residue = _multiplicative_order(self._mul_direct, q, group) == q + 1
-        for x in range(1, self.order):
-            if _multiplicative_order(self._mul_direct, x, group) != group:
-                continue
-            if not want_residue:
-                return x
-            if _pow_by_squaring(self._mul_direct, x, q - 1) == q:
-                return x
-        raise NotPrimitive(f"no generator found in GF({self.order})")
+        _build(self, base, 2, modulus, theta=theta, prefer=(base.q - 1, base.q))
+        self.beta = self.pow(self.theta, base.q - 1)
 
     # -- encoding ----------------------------------------------------------
 
@@ -695,16 +683,24 @@ def poly_from_roots(field, roots):
 
 
 def poly_is_irreducible(field, cs):
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    cs = poly_trim(cs)
-    deg = len(cs) - 1
-    if deg < 1:
+    """Ben-Or's test: f of degree m >= 1 over GF(q) is irreducible exactly
+    when gcd(x^(q^i) - x, f) = 1 for i = 1 .. m // 2, because x^(q^i) - x
+    is the product of the monic irreducibles of degree dividing i (Ben-Or,
+    FOCS 1981; Lidl & Niederreiter, Finite Fields, ch. 3).  Each x^(q^i)
+    mod f is the q-th power of the last; the test stops at the first gcd
+    that is not 1.  f need not be monic."""
+    f = poly_trim(cs)
+    if len(f) < 2:
         return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(field.elements(), repeat=d):
-            divisor = tuple(tail) + (1,)
-            if not poly_mod(field, cs, divisor):
-                return False
+
+    def mulmod(a, b):
+        return poly_mod(field, poly_mul(field, a, b), f)
+
+    x = power = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        power = _pow_by_squaring(mulmod, power, field.order, one=(1,))
+        if poly_gcd(field, poly_add(field, power, poly_neg(field, x)), f) != (1,):
+            return False
     return True
 
 

@@ -409,6 +409,36 @@ def test_verify_bundle_whose_group_order_does_not_factor():
     assert err == "error: cannot factor 1099629069023: no prime factor below 2^20\n"
 
 
+def test_verify_bundle_over_gf_3_40():
+    # Ben-Or's test finds the degree-40 modulus in polynomial time, and
+    # 3^40 - 1 factors, so the field is built and the search runs out of
+    # budget instead of the modulus search running on.
+    data = {"q": 3**40, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+    code, out, err = _run_verify_json(data)
+    assert code == EXIT_BUDGET
+    assert "mds=confirmed" in out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "sec5p2", "--q", str(2**61 - 1), "--k", "2",
+         "--delta", "1"),
+        ("field", "--p", "2", "--m", "200"),
+    ],
+    ids=["sec5p2 over GF(2^61 - 1)", "GF(2^200)"],
+)
+def test_group_order_too_large_to_factor_exits_2(capsys, argv):
+    # (2^61 - 1)^2 - 1 and 2^200 - 1 are too large for the exact primality
+    # test, and the group order is factored before any modulus search.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large to test for primality exactly" in err
+
+
 def _locations(node, out):
     """Every (container, key) slot of a JSON tree."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -691,6 +721,17 @@ def test_sweep_family_validation(capsys):
     assert "famil" in err
     code, _, err = run_cli(capsys, "sweep", "--q", "5", "--families", "sec9")
     assert code == EXIT_INVALID
+
+
+def test_sweep_drops_repeated_families(capsys):
+    # A repeated family is classified once, as a repeated field size is.
+    args = ("sweep", "--format", "json", "--jmax", "1")
+    tables = []
+    for q, families in (("5", "sec3"), ("5", "sec3,sec3"), ("5,5", "sec3,sec3")):
+        code, out, _ = run_cli(capsys, *args, "--q", q, "--families", families)
+        tables.append((code, [{**row, "ms_elapsed": 0} for row in json.loads(out)]))
+    assert len(tables[0][1]) == 3
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("q", ("0", "1", "-3", "6", "3,6"))

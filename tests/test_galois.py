@@ -2,6 +2,8 @@
 
 import functools
 import hashlib
+import itertools
+import math
 import random
 
 import numpy as np
@@ -246,6 +248,42 @@ def test_field_for_order_factors_once(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_each_field_factors_its_group_order_once(monkeypatch):
+    # One factoring per field built: GF(3^4) factors 80 and its prime field
+    # GF(3) factors 2; GF(81^2) factors only its own group order.  The
+    # theta search, the residue check, a theta override and order_of all
+    # read that one list.
+    calls = []
+    factor = galois._prime_factors
+    monkeypatch.setattr(galois, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    assert make_field(7, 1).theta == 3 and calls == [6]
+    calls.clear()
+    base = make_field(3, 4)
+    assert calls == [2, 80]
+    calls.clear()
+    ext = make_ext_field(base)
+    make_ext_field(base, modulus=ext.modulus, theta=ext.theta)
+    assert calls == [81**2 - 1] * 2
+    calls.clear()
+    assert ext.order_of(ext.beta) == 82 and base.order_of(base.theta) == 80
+    assert calls == []
+
+
+def test_group_order_is_factored_before_the_modulus_search(monkeypatch):
+    # 2^200 - 1 cannot be factored here, so GF(2^200) is rejected before
+    # any irreducibility test of degree 200.
+    tested = []
+    is_irreducible = galois.poly_is_irreducible
+    monkeypatch.setattr(
+        galois,
+        "poly_is_irreducible",
+        lambda f, cs: tested.append(len(cs) - 1) or is_irreducible(f, cs),
+    )
+    with pytest.raises(ValueError, match="too large to test"):
+        make_field(2, 200)
+    assert max(tested, default=1) == 1
+
+
 def _trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
@@ -402,20 +440,42 @@ def test_poly_from_roots_vanishes():
         assert (value == 0) == (r in roots)
 
 
+def _trial_division_is_irreducible(f, cs):
+    """Degree >= 1 and no monic divisor of degree 1 .. deg/2."""
+    cs = poly_trim(cs)
+    deg = len(cs) - 1
+    return deg >= 1 and all(
+        poly_mod(f, cs, tail + (1,))
+        for d in range(1, deg // 2 + 1)
+        for tail in itertools.product(f.elements(), repeat=d)
+    )
+
+
 def test_poly_irreducibility_brute_force():
-    for q in (2, 3):
+    # Every polynomial of degree <= 6 over GF(2), <= 5 over GF(3) and <= 4
+    # over GF(4), monic or not, with or without a zero constant term,
+    # against trial division by every monic polynomial of at most half its
+    # degree.  From degree 4 on, having no root no longer decides
+    # irreducibility, so this tells Ben-Or's test apart from a root check.
+    for q, top in ((2, 6), (3, 5), (4, 4)):
         f = field_for_order(q)
-        for enc in range(q**3, q**4):
-            cs = tuple(_digits(enc, q, 4)[:4])
-            if cs[-1] == 0:
-                continue
-            # Degree <= 3: irreducible iff no roots, unless degree <= 1.
-            deg = poly_deg(cs)
-            if deg <= 1:
-                expected = deg == 1
-            else:
-                expected = all(poly_eval(f, cs, r) for r in f.elements())
-            assert poly_is_irreducible(f, cs) == expected
+        monic_counts = [0] * (top + 1)
+        for enc in range(q ** (top + 1)):
+            cs = tuple(_digits(enc, q, top + 1))
+            got = poly_is_irreducible(f, cs)
+            assert got == _trial_division_is_irreducible(f, cs), (q, cs)
+            if got and poly_trim(cs)[-1] == 1:
+                monic_counts[poly_deg(cs)] += 1
+        # Gauss's count of the monic irreducibles of each degree d.
+        assert monic_counts == [0] + [
+            sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+            for d in range(1, top + 1)
+        ]
+
+
+def _mobius(n):
+    primes = galois._prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def test_poly_str():
