@@ -382,7 +382,11 @@ def cmd_verify(args):
     if args.input is not None and _flags(args, inline, True):
         raise ValueError("give either --input or inline construction flags")
     if args.input is not None:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as handle:
+                text = handle.read()
         desc, expected = _bundle_from_json(json.loads(text))
         certs = None
     else:

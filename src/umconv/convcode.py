@@ -336,17 +336,17 @@ class _ColumnSearch:
     weight over the solutions of H0 v = t of that exact weight (supports in
     lexicographic order, full-support solutions only, so each solution is
     seen exactly once); distinct solutions with equal carry collapse.  The
-    heuristic is F(t), the least weight of a solution of H0 v = t: it never
-    overestimates the rest of the path, and the last block costs exactly
-    F(t).  F is a coset-leader table when the syndrome space is small
-    (`_build_f_table`) and a first-hit support search otherwise.  So the
-    first path to block j that leaves the heap has weight d_j, and an
-    exhausted budget still proves the priority it was expanding.
+    heuristic h(t) is F(t), the least weight of a solution of H0 v = t, from
+    a coset-leader table when the syndrome space is small (`_build_f_table`),
+    and [t != 0] otherwise: a node's weight rises one pop at a time, so the
+    search reaches F(t) on its own.  The first path to block j that leaves
+    the heap with a solution has weight d_j, and an exhausted budget still
+    proves the priority it was expanding.
 
     The supports of each weight are row-reduced once, on first use, into
     one numpy layer (`_Layer`), so solving one target on every support of
-    that weight is a few array operations over lookup tables, and F of all
-    the carries it leaves is one gather from the table.
+    that weight is a few array operations over lookup tables, and the
+    heuristic of all the carries it leaves is one gather.
     """
 
     def __init__(self, desc, budget=None, d0=None):
@@ -371,7 +371,6 @@ class _ColumnSearch:
         self._h0_rows = [self.h0.row(r) for r in range(self.kappa)]
         self._layers = {}
         self._sol_cache = {}
-        self._fmin_cache = {0: 0}
         self._dist = {}
         self._d0 = d0
         self._ftable = None
@@ -438,22 +437,6 @@ class _ColumnSearch:
             raise RuntimeError("syndrome space not fully reachable")
         # Axis i holds coordinate i of t, so Fortran order is the code order.
         self._ftable = table.ravel(order="F")
-
-    def _f_min(self, t_enc):
-        """Minimum weight of a solution of H0 v = t, when there is no f-table."""
-        cached = self._fmin_cache.get(t_enc)
-        if cached is not None:
-            return cached
-        t = self._dec(t_enc)
-        for w in range(self.kappa + 1):
-            _, _, solvable = self._solve_all(self._layer(w), t)
-            hits = np.flatnonzero(solvable)
-            # One step per support tried, up to the first solvable one.
-            self.budget.spend(int(hits[0]) + 1 if hits.size else solvable.size)
-            if hits.size:
-                self._fmin_cache[t_enc] = w
-                return w
-        raise RuntimeError("no solution found for a full-row-rank system")
 
     def _reduction(self, support):
         """Pivots inside S, reduced rows of H0_S and transform T, from one
@@ -539,12 +522,6 @@ class _ColumnSearch:
         layer.pivot_off = np.concatenate(pivot_off)
         layer.carry_off = np.concatenate(carry_off)
 
-    def _solve_all(self, layer, t):
-        """(T_S t, G_S T_S t, solvable) for every support S of the layer."""
-        out = self._dot(layer.system, t)
-        rhs = out[:, : self.kappa]
-        return rhs, out[:, self.kappa :], ~((rhs != 0) & layer.beyond).any(axis=1)
-
     def _solutions(self, t_enc, w):
         """Encoded next targets -H1 v over solutions of H0 v = t, wt(v) = w.
 
@@ -562,8 +539,10 @@ class _ColumnSearch:
             return cached
         self.budget.spend(comb(self.n, w))
         layer = self._layer(w)
-        rhs, base, solvable = self._solve_all(layer, self._dec(t_enc))
-        hit = np.flatnonzero(solvable)
+        # T_S t and G_S T_S t per support S; solvable: T_S t zero past rank.
+        out = self._dot(layer.system, self._dec(t_enc))
+        rhs, base = out[:, : self.kappa], out[:, self.kappa :]
+        hit = np.flatnonzero(~((rhs != 0) & layer.beyond).any(axis=1))
         per_free = np.bincount(layer.free[hit], minlength=w + 1).tolist()
         self.budget.spend(sum(c * self.q**f for f, c in enumerate(per_free) if f))
         missing = hit[layer.start[hit] < 0]
@@ -595,43 +574,45 @@ class _ColumnSearch:
         return d
 
     def _search(self, j, cap):
-        """d_j by best-first search over the nodes (block i, target t).
+        """d_j by best-first (A*) search over the nodes (block i, target t).
 
         A heap entry (priority, -i, t, w) solves H0 v_i = t at weight w
-        after weight g = priority - w on blocks 0..i-1; a node enters at
-        w = F(t), and block 0 at w = d_0 with t = 0.  Popping an entry
-        pushes the same node at weight w + 1 and each carry t' of
-        `_solutions(t, w)` as a node of block i + 1 at g + w + F(t').
-        Every push is at least the priority popped, so priorities pop in
-        nondecreasing order: a node's first push has its least g, so it is
-        pushed once, and the first block-j pop is d_j.  Ties pop the deepest
-        block first, so nothing is pushed above the cap or above the
-        cheapest block-j node pushed so far.  When the budget runs out,
-        every path cheaper than the priority being expanded has been
-        searched, so that priority is a proven lower bound.
+        after weight g = priority - w on blocks 0..i-1.  A node enters at
+        w = h(t), block 0 at w = d_0 with t = 0.  Popping an entry pushes
+        the same node at weight w + 1 and asks `_solutions(t, w)`: at block
+        j a nonempty answer is the goal, below it each carry t' becomes a
+        node of block i + 1 at g + w + h(t').  Nothing is pushed above the
+        cap; ties pop the deepest block first.
+
+        Exactness: h(t) <= F(t) <= wt(v) for every block v with H0 v = t
+        (F(0) = 0 and F(t) >= 1 otherwise), so h is consistent.  A child's
+        g is the priority just popped, and pops never decrease, so a node's
+        first push carries its least g and is its only push.  Every entry on
+        a cheapest path has priority <= d_j, because h never exceeds the
+        weight of the block it stands for.  So the first block-j pop with a
+        solution is d_j, and an exhausted budget proves the priority being
+        expanded.  With the table the first block-j pop is the goal: a
+        weight-F(t) solution has full support on F(t) columns.
         """
-        d0, n, ftable, limit = self._d0, self.n, self._ftable, cap
+        d0, n, ftable = self._d0, self.n, self._ftable
         reached = [set() for _ in range(j + 1)]  # targets pushed, per block
         heap = [(d0, 0, 0, d0)]
         while heap:
             priority, neg_i, t, w = heapq.heappop(heap)
-            if -neg_i == j:
-                return priority
-            if w < n and priority < limit:
+            if w < n and priority < cap:
                 heapq.heappush(heap, (priority + 1, neg_i, t, w + 1))
             try:
                 carries = self._solutions(t, w)
-                if ftable is None:
-                    fmins = np.array([self._f_min(c) for c in carries.tolist()])
-                else:
-                    fmins = ftable[carries]
             except BudgetExceeded as e:
                 raise BudgetExceeded(str(e), lower_bound=priority) from None
-            if 1 - neg_i == j and fmins.size:  # a path to block j bounds d_j
-                limit = min(limit, priority + int(fmins.min()))
-            keep = fmins <= limit - priority
+            if -neg_i == j:
+                if carries.size:
+                    return priority
+                continue
+            h = (carries != 0).astype(np.intp) if ftable is None else ftable[carries]
+            keep = h <= cap - priority
             seen = reached[1 - neg_i]
-            for c, f in zip(carries[keep].tolist(), fmins[keep].tolist()):
+            for c, f in zip(carries[keep].tolist(), h[keep].tolist()):
                 if c not in seen:
                     seen.add(c)
                     heapq.heappush(heap, (priority + f, neg_i - 1, c, f))

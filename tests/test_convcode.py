@@ -10,7 +10,7 @@ import pytest
 
 from umconv import convcode
 from umconv.blockcode import min_distance, root_parity_matrix
-from umconv.constructions import sec3_code, sec5_part2_code
+from umconv.constructions import sec3_code, sec5_construction_one, sec5_part2_code
 from umconv.convcode import (
     BudgetExceeded,
     ConvCodeDesc,
@@ -341,12 +341,12 @@ def test_column_search_reuses_support_reductions(monkeypatch):
 
 
 def test_column_search_first_hit_route(monkeypatch):
-    # Without the coset-leader table, F(t) comes from the first-hit support
-    # search, which goes through the same per-support reductions.
+    # Without the coset-leader table the heuristic is [t != 0], and the
+    # search raises each node's weight through the same per-support
+    # reductions until it finds F(t).
     monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
     engines = _check_engine_reuse(47, monkeypatch)
     assert all(e._ftable is None for e in engines)
-    assert any(len(e._fmin_cache) > 1 for e in engines)
 
 
 def _brute_f_table(h0):
@@ -416,7 +416,7 @@ def test_batched_search_against_support_and_brute_force(q, route, monkeypatch):
     # GF(8) has characteristic 2; GF(9) is an odd-characteristic extension
     # field, where negation is not the identity; GF(257) does not fit uint8
     # lookup tables, so its arithmetic is the field's own, elementwise.
-    # "first-hit" drops the coset-leader table.
+    # "first-hit" drops the coset-leader table, so the heuristic is [t != 0].
     if route == "first-hit":
         monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
     f = field_for_order(q)
@@ -442,7 +442,7 @@ def test_batched_search_every_budget(monkeypatch):
     # any budget has the unlimited answer, and the layers never hold more
     # rows than the budget: rows are built only for supports already paid.
     # The raising window's lower bound is proven: d_{j-1} <= bound <= d_j.
-    # Both F(t) routes: with the coset-leader table, and first-hit without.
+    # Both heuristics: F(t) from the coset-leader table, and [t != 0].
     pm = _random_unit_memory(random.Random(3), F8, 5, 2, 1)
     desc = ConvCodeDesc.from_parity(pm)
     for limit in (convcode._F_TABLE_LIMIT, 0):
@@ -609,20 +609,21 @@ def test_classify_budget_inconclusive():
 @pytest.mark.parametrize(
     "bundle, steps",
     [
-        pytest.param(lambda: sec3_code(8, 7, 2, 2), 1680, id="sec3-q8"),
-        pytest.param(lambda: sec5_part2_code(7, 2, 1), 4600, id="sec5p2-q7"),
+        pytest.param(lambda: sec3_code(8, 7, 2, 2), 1701, id="sec3-q8"),
+        pytest.param(lambda: sec5_part2_code(7, 2, 1), 4601, id="sec5p2-q7"),
         # The (9,5,4) code, the slowest of the q <= 8 sweep.
         pytest.param(lambda: sec5_part2_code(8, 1, 2), 177_414, id="sec5p2-q8"),
-        # The (9,3,2) code: 8^6 syndromes, so F(t) comes from the first-hit
-        # support search, which spends budget too.
-        pytest.param(lambda: sec5_part2_code(8, 1, 1), 18_005, id="sec5p2-q8-first-hit"),
+        # The (9,3,2) code: 8^6 syndromes, so there is no coset-leader table
+        # and the heuristic is [t != 0]; the search queries its way to F(t).
+        pytest.param(lambda: sec5_part2_code(8, 1, 1), 4258, id="sec5p2-q8-first-hit"),
     ],
 )
 def test_classify_budget_step_counts(bundle, steps):
     # Exact step counts: the budget is charged per query, so these hold
     # while the search makes the same queries in the same order.  They move
     # when the search changes which queries it makes, and not when it
-    # changes how one query is answered.
+    # changes how one query is answered.  Each window's goal is a popped
+    # block-j entry whose own query has a solution, and that query counts.
     b = bundle()
 
     def exhausted(budget):
@@ -645,6 +646,18 @@ def test_classify_budget_exhausted_certificate(budget, j, lower_bound):
     report = classify(b.desc, certs=b.split_distances, budget=budget)
     notes = [c for c in report.certificates if c["type"] == "budget-exhausted"]
     assert notes == [{"type": "budget-exhausted", "j": j, "lower_bound": lower_bound}]
+
+
+def test_classify_sec5c1_q11_paper_claim():
+    # The paper's (12,5,4) code over GF(11): 11^7 syndromes, so no
+    # coset-leader table.  The default budget settles it: every window from
+    # 1 on meets the Singleton bound 12.
+    b = sec5_construction_one(11, 1, 2)
+    report = classify(b.desc, certs=b.split_distances)
+    assert report.column_distances == {0: 8, 1: 12, 2: 12, 3: 12, 4: 12}
+    assert (report.dfree_lower, report.dfree_upper) == (12, 12)
+    assert set(report.verdicts().values()) == {Verdict.CONFIRMED}
+    assert all(c["type"] != "budget-exhausted" for c in report.certificates)
 
 
 def test_classify_memoryless():
@@ -797,6 +810,19 @@ def test_all_nonsingular_matches_rank():
         invertible = rank(FMatrix(F3, mat)) == 3
         assert _all_nonsingular(tables, np.array([mat])) == invertible
     assert not _all_nonsingular(tables, np.array(mats))
+
+
+def test_heuristics_agree_on_sweep_codes(sweep_results, monkeypatch):
+    # The q <= 7 sweep codes without the coset-leader table, so the
+    # heuristic is [t != 0]: the column distances are the reported ones.
+    monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
+    codes = [(b, r) for spec, b, r, _ in sweep_results if spec.q <= 7]
+    assert len(codes) == 40
+    for bundle, report in codes:
+        engine = _ColumnSearch(bundle.desc, d0=bundle.split_distances[1])
+        assert engine._ftable is None
+        dists = {j: engine.distance(j) for j in range(5)}
+        assert dists == report.column_distances, bundle.desc.parity.to_json()
 
 
 def test_cap_hits_match_sliding_matrix_minors(sweep_results, fixture_results, capsys):
