@@ -332,10 +332,10 @@ class _ColumnSearch:
 
     The sliding system couples consecutive blocks only through the carry
     -H1 v_{i-1}, the target of block i's system H0 v_i = t, so a window's
-    search state is (block i, target t).  Each state is expanded weight by
-    weight over the solutions of H0 v = t of that exact weight (supports in
-    lexicographic order, full-support solutions only, so each solution is
-    seen exactly once); distinct solutions with equal carry collapse.  The
+    search state is (block i, the line of t).  Each state is expanded weight
+    by weight over the solutions of H0 v = t of that exact weight (supports
+    in lexicographic order, full-support solutions only, so each solution is
+    seen exactly once); solutions whose carries share a line collapse.  The
     heuristic h(t) is F(t), the least weight of a solution of H0 v = t, from
     a coset-leader table when the syndrome space is small (`_build_f_table`),
     and [t != 0] otherwise: a node's weight rises one pop at a time, so the
@@ -523,7 +523,10 @@ class _ColumnSearch:
         layer.carry_off = np.concatenate(carry_off)
 
     def _solutions(self, t_enc, w):
-        """Encoded next targets -H1 v over solutions of H0 v = t, wt(v) = w.
+        """Encoded next targets -H1 v over solutions of H0 v = t, wt(v) = w,
+        one per line: each scaled so its first nonzero coordinate is 1.  For
+        a != 0, H0(a v) = a t, wt(a v) = wt(v) and a v carries a times v's
+        carry, so the answer for a t is the answer for t (see `_search`).
 
         Each weight-w solution has full support on exactly one size-w column
         set, so scanning all supports and keeping the everywhere-nonzero
@@ -555,8 +558,14 @@ class _ColumnSearch:
         full = pivots.all(axis=1)
         base = np.repeat(base[hit], counts, axis=0)[full]
         carries = self._add(base, layer.carry_off[rows[full]])
-        codes = carries.astype(self._powers.dtype) @ self._powers
-        result = np.unique(codes)
+        codes = np.unique(carries.astype(self._powers.dtype) @ self._powers)
+        digits = self._dec(codes[:, None])
+        leads = digits[np.arange(codes.size), (digits != 0).argmax(axis=1)]
+        present, which = np.unique(leads, return_inverse=True)
+        inv = [self.field.inv(a) if a else 0 for a in present.tolist()]
+        scale = np.array(inv, dtype=self._dtype)[which]
+        digits = self._mul(scale[:, None], digits)
+        result = np.unique(digits.astype(self._powers.dtype) @ self._powers)
         result.flags.writeable = False
         self._sol_cache[key] = result
         return result
@@ -593,6 +602,12 @@ class _ColumnSearch:
         solution is d_j, and an exhausted budget proves the priority being
         expanded.  With the table the first block-j pop is the goal: a
         weight-F(t) solution has full support on F(t) columns.
+
+        Targets are carry lines (`_solutions`).  That changes none of the
+        above: F(a t) = F(t) and [a t != 0] = [t != 0], so h is the same on
+        every point of a line; whether `_solutions(t, w)` is empty, the goal
+        test, is too; and the weights reachable from block i onward depend
+        only on the line, so `reached` may dedupe by line.
         """
         d0, n, ftable = self._d0, self.n, self._ftable
         reached = [set() for _ in range(j + 1)]  # targets pushed, per block

@@ -4,6 +4,7 @@ free-distance certificates, classification, minimality."""
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -437,6 +438,91 @@ def test_batched_search_against_support_and_brute_force(q, route, monkeypatch):
     assert rows_with_free_columns > 0
 
 
+def _encode(q, vec):
+    return sum(x * q**i for i, x in enumerate(vec))
+
+
+def _decode(q, code, kappa):
+    return [code // q**i % q for i in range(kappa)]
+
+
+def _line(f, vec):
+    """vec scaled so its first nonzero coordinate is 1; zero stays zero."""
+    lead = next((x for x in vec if x), 0)
+    return [f.mul(f.inv(lead), x) for x in vec] if lead else list(vec)
+
+
+def _check_line_answers(engine, f, t, w, rng):
+    """_solutions(t, w) holds normalized carry codes only, and every nonzero
+    multiple of t gets the same answer."""
+    q, kappa = f.q, engine.kappa
+    got = engine._solutions(t, w).tolist()
+    for c in got:
+        digits = _decode(q, c, kappa)
+        assert digits == _line(f, digits), (t, w, c)
+    t_vec = _decode(q, t, kappa)
+    for a in rng.sample(range(1, q), min(3, q - 1)):
+        at = _encode(q, [f.mul(a, x) for x in t_vec])
+        assert engine._solutions(at, w).tolist() == got, (t, w, a)
+    return got
+
+
+@pytest.mark.parametrize("route", ["table", "first-hit"])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 257])
+def test_solutions_keep_one_carry_per_line(q, route, monkeypatch):
+    # Each answer of _solutions is a set of carry lines, checked on seeded
+    # random codes; where F_q^n has at most 20,000 vectors it must be the
+    # normalized carries -H1 v of every v with H0 v = t and wt(v) = w.
+    if route == "first-hit":
+        monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
+    rng = random.Random(60 + q)
+    f = field_for_order(q)
+    shapes = [(3, 1), (4, 2), (5, 2), (5, 3)]
+    if q > 256:  # the (3,2) table would take half a minute elementwise
+        shapes = [(2, 1), (3, 1)] + ([(3, 2)] if route == "first-hit" else [])
+    brute_checked = 0
+    for n, kappa in shapes:
+        pm = _random_unit_memory(rng, f, n, kappa, rng.randint(1, kappa))
+        engine = _ColumnSearch(ConvCodeDesc.from_parity(pm))
+        assert (engine._ftable is None) == (route == "first-hit")
+        h0, h1 = pm.coefficient(0), pm.coefficient(1)
+        brute = None
+        if q**n <= 20_000:
+            brute = {}
+            for v in itertools.product(range(q), repeat=n):
+                key = (_encode(q, h0.matvec(v)), sum(1 for x in v if x))
+                carry = _line(f, [f.neg(x) for x in h1.matvec(v)])
+                brute.setdefault(key, set()).add(_encode(q, carry))
+        for t in [0] + [rng.randrange(1, q**kappa) for _ in range(3)]:
+            for w in range(1, n + 1):
+                got = _check_line_answers(engine, f, t, w, rng)
+                if brute is not None:
+                    assert got == sorted(brute.get((t, w), ())), (t, w)
+                    brute_checked += 1
+    assert brute_checked or q > 256
+
+
+def test_solutions_over_a_61_bit_prime_field():
+    # Normalizing inverts only the leads that occur: no array of q entries
+    # exists over GF(2^61 - 1), and codes past 2^62 are Python ints.
+    f = field_for_order(2**61 - 1)
+    h0 = FMatrix(f, [[1, 1, 1], [1, 2, 3]])  # every 2 columns independent
+    pm = unit_memory_parity(h0, FMatrix(f, [[1, 4, 9]]))
+    engine = _ColumnSearch(ConvCodeDesc.from_parity(pm))
+    assert engine._ftable is None
+    rng = random.Random(61)
+    h1 = pm.coefficient(1)
+    start = time.perf_counter()
+    for v in ([5, 0, 0], [f.q - 2, 7, 0], [3, 10**15, 0]):
+        # v is the only solution of H0 x = H0 v on its support, so its
+        # carry line is in the answer at v's weight.
+        t = _encode(f.q, h0.matvec(v))
+        w = sum(1 for x in v if x)
+        got = _check_line_answers(engine, f, t, w, rng)
+        assert _encode(f.q, _line(f, [f.neg(x) for x in h1.matvec(v)])) in got
+    assert time.perf_counter() - start < 1.0
+
+
 def test_batched_search_every_budget(monkeypatch):
     # Every budget below the exact need raises, every query answered under
     # any budget has the unlimited answer, and the layers never hold more
@@ -482,13 +568,13 @@ def _check_every_budget(desc, first_hit):
 
 
 @pytest.mark.parametrize(
-    "budget, weights", [(100, []), (3_000, [1, 5]), (30_000, [1, 2, 5, 6])]
+    "budget, weights", [(100, []), (3_000, [1, 5, 6]), (30_000, [1, 2, 5, 6, 7])]
 )
 def test_layer_rows_bounded_by_budget(budget, weights):
-    # Without a budget, sec5p2 (10,6,4) over GF(9) builds 76,975 rows.  A
-    # budget pays for a layer's supports before they are reduced and for a
-    # support's rows before they are built: 100 steps run out on the 252
-    # supports of weight 5 before any layer exists.
+    # Without a budget, windows 0-3 of sec5p2 (10,6,4) over GF(9) build
+    # 76,951 rows.  A budget pays for a layer's supports before they are
+    # reduced and for a support's rows before they are built: 100 steps run
+    # out on the 252 supports of weight 5 before any layer exists.
     b = sec5_part2_code(9, 2, 2)
     engine = _ColumnSearch(b.desc, budget=budget)
     with pytest.raises(BudgetExceeded):
@@ -612,10 +698,10 @@ def test_classify_budget_inconclusive():
         pytest.param(lambda: sec3_code(8, 7, 2, 2), 1701, id="sec3-q8"),
         pytest.param(lambda: sec5_part2_code(7, 2, 1), 4601, id="sec5p2-q7"),
         # The (9,5,4) code, the slowest of the q <= 8 sweep.
-        pytest.param(lambda: sec5_part2_code(8, 1, 2), 177_414, id="sec5p2-q8"),
+        pytest.param(lambda: sec5_part2_code(8, 1, 2), 78_432, id="sec5p2-q8"),
         # The (9,3,2) code: 8^6 syndromes, so there is no coset-leader table
         # and the heuristic is [t != 0]; the search queries its way to F(t).
-        pytest.param(lambda: sec5_part2_code(8, 1, 1), 4258, id="sec5p2-q8-first-hit"),
+        pytest.param(lambda: sec5_part2_code(8, 1, 1), 1828, id="sec5p2-q8-first-hit"),
     ],
 )
 def test_classify_budget_step_counts(bundle, steps):
