@@ -207,12 +207,12 @@ def min_distance(parity, budget=None):
     """Exact minimum distance of the kernel of a parity-check matrix.
 
     Computed as the smallest w such that some w columns of the parity check
-    are linearly dependent, spending at most ``budget`` column tests (None
-    is unlimited) before raising BudgetExceeded.  When the codeword count
-    q^k is at most 2^20 the value is recomputed by exhaustive enumeration of
-    one codeword per line, (q^k - 1)/(q - 1) words, since scalar multiples
-    share a weight; any disagreement raises, and the two routes are
-    independent.
+    are linearly dependent, spending at most ``budget`` search steps
+    (_dependency_min_weight says what a step is; None is unlimited) before
+    raising BudgetExceeded.  When the codeword count q^k is at most 2^20
+    the value is recomputed by exhaustive enumeration of one codeword per
+    line, (q^k - 1)/(q - 1) words, since scalar multiples share a weight;
+    any disagreement raises, and the two routes are independent.
 
     An unbudgeted call is memoized for the life of the process, keyed by
     the FMatrix itself (its field, modulus included, and its entries), so
@@ -252,32 +252,55 @@ def _dependency_min_weight(parity, r, budget=None):
     columns of any minimal dependent w-set are independent, so the pass
     reaches that node unless a set of size <= w was already found; the
     result is exact.  Each node holds its later columns already reduced by
-    its pivots, so a child reduces them by its one new pivot only.  One
-    budget step is spent per column test.
+    its pivots, so a child reduces them by its one new pivot only.
+
+    A node that recurses first cuts its later columns L_0..L_end: it
+    reduces them from the end, each against the ones after it, up to the
+    first L_j that reduces to zero, and tests only L_0..L_j (none when no
+    L_j does).  Exact, because the skipped columns are independent modulo
+    the node's span: no set of the node's columns, one of them and later
+    ones is dependent.  One budget step is spent per column test and one
+    per column a cut reduces.
     """
     _, sub, mul, inv = op_tables(parity.field)
     spend = _Budget(budget).spend
     best = r + 1
 
+    def eliminate(col, prow, pivot):
+        c = col[prow]
+        if not c:
+            return col
+        times_c = mul[c]
+        return [sub[x][times_c[y]] for x, y in zip(col, pivot)]
+
+    def pivot_of(vec):
+        prow = next(p for p, x in enumerate(vec) if x)
+        scale = mul[inv[vec[prow]]]
+        return prow, [scale[x] for x in vec]
+
+    def cut(later):
+        basis = []
+        for j in range(len(later) - 1, -1, -1):
+            spend()
+            vec = later[j]
+            for pivot in basis:
+                vec = eliminate(vec, *pivot)
+            if not any(vec):
+                return j + 1
+            basis.append(pivot_of(vec))
+        return 0
+
     def dfs(size, later):
         nonlocal best
-        for i, vec in enumerate(later):
+        stop = cut(later) if size + 2 < best else len(later)
+        for i in range(stop):
             spend()
-            prow = next((p for p, x in enumerate(vec) if x), None)
-            if prow is None:
+            if not any(later[i]):
                 best = size + 1
                 return
             if size + 2 < best:
-                scale = mul[inv[vec[prow]]]
-                pivot = [scale[x] for x in vec]
-                children = []
-                for col in later[i + 1:]:
-                    c = col[prow]
-                    if c:
-                        times_c = mul[c]
-                        col = [sub[x][times_c[y]] for x, y in zip(col, pivot)]
-                    children.append(col)
-                dfs(size + 1, children)
+                pivot = pivot_of(later[i])
+                dfs(size + 1, [eliminate(col, *pivot) for col in later[i + 1:]])
 
     dfs(0, [parity.column(c) for c in range(parity.cols)])
     return best

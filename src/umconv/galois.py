@@ -171,7 +171,9 @@ def _build(field, coeffs, degree, modulus, theta=None, prefer=None):
     The default is the smallest generator; when ``prefer`` = (k, r) names an
     element r of order (order - 1) / k, it is the smallest generator with
     theta^k = r.  x generates when x^(group / l) != 1 for every prime l of
-    the group order; the test stops at the first l that fails.
+    the group order; the test stops at the first l that fails.  Above
+    degree 1 the search starts at q: the encodings below it are ``coeffs``
+    itself, whose orders divide q - 1 < order - 1.
     """
     group = field.order - 1
     field._primes = primes = _prime_factors(group)
@@ -210,7 +212,7 @@ def _build(field, coeffs, degree, modulus, theta=None, prefer=None):
             r = None
         theta = next(
             x
-            for x in range(1, field.order)
+            for x in range(q if degree > 1 else 1, field.order)
             if (r is None or _pow_by_squaring(mul, x, k) == r) and generates(x)
         )
     field.theta = theta

@@ -131,11 +131,16 @@ def test_min_distance_budget():
     mat = root_parity_matrix(F8, roots, 7)
     with pytest.raises(BudgetExceeded):
         min_distance(mat, budget=3)
-    # One step per column test: an MDS parity of rank 4 needs every
-    # independent set of up to 3 columns, C(7,1) + ... + C(7,4) = 98 tests.
-    assert min_distance(mat, budget=98) == 5
+    # One step per column test and one per column a cut reduces.  Every 4
+    # columns of this MDS parity are independent, so a node of s columns
+    # skips its last 4 - s later columns, having reduced 5 - s; the nodes
+    # of 3 columns do not recurse and make no cut.  The cuts reduce
+    # 5 + 3*4 + 6*3 = 35 columns and the 1 + 3 + 6 + 10 nodes test
+    # 3 + 6 + 10 + 25 = 44, so 79 steps (98 tests without the cut).  The
+    # first cut alone spends more than 3.
+    assert min_distance(mat, budget=79) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(mat, budget=97)
+        min_distance(mat, budget=78)
 
 
 def _oracle_min_distance(parity):
@@ -150,9 +155,15 @@ def _oracle_min_distance(parity):
 def _random_parity(rng, f, n, r, extra_rows):
     """r random rows plus extra_rows random combinations of them."""
     rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(r)]
-    for _ in range(extra_rows):
-        combo = [0] * n
-        for row in rows[:r]:
+    return _add_combinations(rng, f, rows, extra_rows)
+
+
+def _add_combinations(rng, f, rows, count):
+    """rows followed by count random combinations of them."""
+    base = list(rows)
+    for _ in range(count):
+        combo = [0] * len(base[0])
+        for row in base:
             c = rng.randrange(f.q)
             combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
         rows.append(combo)
@@ -187,14 +198,63 @@ def test_min_distance_matches_subset_oracle():
     assert min_distance(repeated) == 2
 
 
+def test_dependency_cut_matches_subset_oracle():
+    # Shuffled MDS parities (random rows where GF(q) has too few powers of
+    # theta), damaged in turn by a zero column, a column repeated up to a
+    # scalar or dependent rows, so that the first column of a node's cut
+    # that depends on the ones after it sits anywhere in its later list.
+    rng = random.Random(1021)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        f = field_for_order(q)
+        for trial in range(16):
+            n = rng.randint(3, 9 if q < 4 else min(9, q - 1))
+            r = rng.randint(1, n - 1)
+            if q < 4:
+                rows = _random_parity(rng, f, n, r, 0)
+            else:
+                roots = [f.pow(f.theta, i) for i in range(r)]
+                rows = root_parity_matrix(f, roots, n).to_lists()
+            order = rng.sample(range(n), n)
+            rows = [[row[i] for i in order] for row in rows]
+            kind = trial % 4
+            if kind == 1:  # a zero column
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            if kind == 2:  # a column repeated up to a scalar
+                src, dst = rng.sample(range(n), 2)
+                c = rng.randrange(1, q)
+                for row in rows:
+                    row[dst] = f.mul(c, row[src])
+            if kind == 3:  # dependent rows: combinations of the others
+                rows = _add_combinations(rng, f, rows, 2)
+            mat = FMatrix(f, rows)
+            want = _oracle_min_distance(mat)
+            if kind in (1, 2):
+                assert want <= kind
+            assert _dependency_min_weight(mat, rank(mat)) == want, (q, rows)
+
+
+def test_dependency_cut_steps_of_a_gf16_mds_parity():
+    # Rank 13 of 15 columns: without the cut the search made 32,751 column
+    # tests; with it, every node of s columns skips its last 13 - s later
+    # columns.
+    f16 = field_for_order(16)
+    mat = root_parity_matrix(f16, [f16.pow(f16.theta, i) for i in range(13)], 15)
+    assert rank(mat) == 13
+    assert min_distance(mat, budget=637) == 14
+    with pytest.raises(BudgetExceeded):
+        min_distance(mat, budget=636)
+
+
 def test_min_distance_without_lookup_tables():
     # GF(257) is above the table limit, so both routes index on-demand
     # arithmetic instead; the budget pin holds there too.
     f257 = field_for_order(257)
     roots = [f257.pow(f257.theta, i) for i in range(4)]
-    assert min_distance(root_parity_matrix(f257, roots, 7), budget=98) == 5
+    assert min_distance(root_parity_matrix(f257, roots, 7), budget=79) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(root_parity_matrix(f257, roots, 7), budget=97)
+        min_distance(root_parity_matrix(f257, roots, 7), budget=78)
     assert min_distance(root_parity_matrix(f257, roots, 10)) == 5
     repeated = FMatrix(f257, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
     assert min_distance(repeated) == 2
@@ -377,8 +437,8 @@ def test_min_distance_memo_leaves_budgeted_calls_alone():
     mat = root_parity_matrix(F8, roots, 7)
     assert min_distance(mat) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(mat, budget=97)
-    assert min_distance(mat, budget=98) == 5
+        min_distance(mat, budget=78)
+    assert min_distance(mat, budget=79) == 5
 
 
 def test_min_distance_memo_stores_no_failed_proof(monkeypatch):

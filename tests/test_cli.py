@@ -53,6 +53,15 @@ def test_field_json_tables(capsys):
     assert data["mul"][2][2] == 3
 
 
+def test_field_over_a_large_prime_skips_the_prime_field(capsys):
+    # The theta search starts past GF(p), whose elements cannot generate
+    # GF(p^2); trying them first took time linear in p.
+    code, out, _ = run_cli(capsys, "field", "--p", "1000003", "--m", "2")
+    assert code == EXIT_OK
+    assert "modulus   1+t^2" in out
+    assert "theta     1000005 = 2+t" in out
+
+
 def test_field_rejects_composite_characteristic(capsys):
     code, _, err = run_cli(capsys, "field", "--p", "4", "--m", "1")
     assert code == EXIT_INVALID

@@ -498,6 +498,28 @@ def test_ext_field_defaults():
     assert smaller == []
 
 
+def test_ext_field_theta_search_skips_the_base_field(monkeypatch):
+    # The encodings below q are the base field, whose orders divide q - 1,
+    # so the default theta search over GF(10007^2) starts at q.  Trying
+    # each of them first took 10,073 powerings here.
+    base = field_for_order(10007)
+    calls = []
+    powering = galois._pow_by_squaring
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return powering(*args, **kwargs)
+
+    monkeypatch.setattr(galois, "_pow_by_squaring", counted)
+    ext = make_ext_field(base)
+    assert len(calls) < 100
+    assert (ext.modulus, ext.theta) == ((1, 0, 1), 10009)
+    assert ext.decompose(ext.theta) == (2, 1)
+    assert ext.order_of(ext.theta) == ext.order - 1
+    assert all(ext.order_of(x) < ext.order - 1 for x in range(base.q, ext.theta))
+    assert ext.order_of(ext.beta) == base.q + 1
+
+
 def test_ext_encoding_round_trip():
     base = make_field(2, 2)
     ext = make_ext_field(base)
