@@ -5,9 +5,10 @@ Column distances, three ways
 The column distance at window j is the smallest weight of a truncated
 codeword whose first block is nonzero, or equivalently the smallest weight
 of a kernel vector of the truncated sliding parity matrix with a nonzero
-leading block.  This script computes one profile with both search engines
-and by brute-force enumeration, and shows how the profile drives the
-strongly-MDS and distance-profile verdicts.
+leading block.  This script computes one profile with the search engine,
+checks it by brute force over supports and, at window 0, by enumerating
+the kernel, and shows how the profile drives the strongly-MDS and
+distance-profile verdicts.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from umconv import (
     classify,
     column_distance,
     nullspace,
+    rank,
     sec3_code,
     singleton_and_indices,
     sliding_matrix,
@@ -32,14 +34,31 @@ for j in range(3):
     s = sliding_matrix(desc.parity, j)
     print(f"  window {j}: sliding matrix {s.rows} x {s.cols}")
 
-# Route one: branch-and-bound over message blocks (the default engine).
-# Route two: branch-and-bound over codeword supports, which scales worse
-# with the window, so the comparison stops at j = 2.
+
+def support_distance(j):
+    """Route two: the fewest columns S of the window-j sliding matrix that
+    carry a kernel vector nonzero on block 0.  Those exist exactly when the
+    block-0 columns of S are dependent modulo the other columns of S."""
+    s = sliding_matrix(desc.parity, j)
+    for w in range(1, s.cols + 1):
+        for support in itertools.combinations(range(s.cols), w):
+            if support[0] >= n:
+                break
+            r = rank(s.take_cols(support))
+            later = [c for c in support if c >= n]
+            if r < w and r < w - len(later) + rank(s.take_cols(later)):
+                return w
+
+
+# Route one: a best-first search over blocks, with the syndrome carried
+# into the next block as its state (the engine).  Route two tries supports
+# in order of size, which scales worse with the window, so the comparison
+# stops at j = 2.
 profile = {}
 for j in range(5):
     profile[j] = column_distance(desc, j)
     if j <= 2:
-        assert profile[j] == column_distance(desc, j, method="support")
+        assert profile[j] == support_distance(j)
 print(f"\nprofile (engines agree through j = 2): {profile}")
 
 # Route three, for window 0 only: at j = 0 the nonzero-first-block

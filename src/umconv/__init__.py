@@ -14,7 +14,7 @@ from .galois import (
     make_field,
     field_for_order,
 )
-from .linalg import FMatrix, nullspace, rank, rref, solve_on_support
+from .linalg import FMatrix, nullspace, rank, rref
 from .blockcode import (
     BlockCode,
     RootSpec,
@@ -62,7 +62,6 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
-    "solve_on_support",
     "BlockCode",
     "RootSpec",
     "base_field_closure_check",

@@ -209,10 +209,16 @@ def min_distance(parity, budget=None):
     Computed as the smallest w such that some w columns of the parity check
     are linearly dependent, spending at most ``budget`` search steps
     (_dependency_min_weight says what a step is; None is unlimited) before
-    raising BudgetExceeded.  When the codeword count q^k is at most 2^20
-    the value is recomputed by exhaustive enumeration of one codeword per
-    line, (q^k - 1)/(q - 1) words, since scalar multiples share a weight;
-    any disagreement raises, and the two routes are independent.
+    raising BudgetExceeded.  The search runs on the side of smaller rank:
+    when k < r it first runs on the checked kernel basis G (k x n, whose
+    kernel is the dual code), and a result of k + 1 means the dual is MDS,
+    so this code is MDS and d = r + 1 (MacWilliams & Sloane, The Theory of
+    Error-Correcting Codes, ch. 11, Thm 2); any other result falls back to
+    the search on the parity check.  Both searches spend from the one
+    budget.  When the codeword count q^k is at most 2^20 the value is
+    recomputed by exhaustive enumeration of one codeword per line,
+    (q^k - 1)/(q - 1) words, since scalar multiples share a weight; any
+    disagreement raises, and the two routes are independent.
 
     An unbudgeted call is memoized for the life of the process, keyed by
     the FMatrix itself (its field, modulus included, and its entries), so
@@ -229,7 +235,11 @@ def min_distance(parity, budget=None):
     k = n - r
     if k <= 0:
         raise ValueError("code has no nonzero codewords")
-    d = _dependency_min_weight(parity, r, budget)
+    steps = _Budget(budget)
+    if k < r and _dependency_min_weight(_kernel_basis(parity, k), k, steps) == k + 1:
+        d = r + 1  # the dual code is MDS, so this one is
+    else:
+        d = _dependency_min_weight(parity, r, steps)
     if parity.field.order**k <= _ENUMERATION_LIMIT:
         d_enum = _enumeration_min_weight(parity)
         if d_enum != d:
@@ -239,6 +249,23 @@ def min_distance(parity, budget=None):
     if budget is None:
         _MIN_DISTANCE_MEMO[parity] = d
     return d
+
+
+def _kernel_basis(parity, k):
+    """nullspace(parity) as a k x n FMatrix G, checked: H G^T = 0, rank k."""
+    add, _, mul, _ = op_tables(parity.field)
+    basis = FMatrix(parity.field, nullspace(parity))
+    rows = basis.to_lists()
+    for h in parity.to_lists():
+        for g in rows:
+            acc = 0
+            for a, b in zip(h, g):
+                acc = add[acc][mul[a][b]]
+            if acc:
+                raise RuntimeError("kernel basis check failed: H G^T != 0")
+    if rank(basis) != k:
+        raise RuntimeError(f"kernel basis check failed: rank is not {k}")
+    return basis
 
 
 def _dependency_min_weight(parity, r, budget=None):
@@ -259,11 +286,22 @@ def _dependency_min_weight(parity, r, budget=None):
     first L_j that reduces to zero, and tests only L_0..L_j (none when no
     L_j does).  Exact, because the skipped columns are independent modulo
     the node's span: no set of the node's columns, one of them and later
-    ones is dependent.  One budget step is spent per column test and one
-    per column a cut reduces.
+    ones is dependent.
+
+    A node of size s with best = s + 3 has only leaf children, which could
+    find a later column that is zero modulo the node's span (best = s + 1)
+    or two later columns on one line modulo it (best = s + 2).  The node's
+    reduction is the projection along its span, so these are exactly a
+    zero column and two columns that are equal once each is scaled to a
+    leading 1: the node hashes its scaled later columns once instead of
+    building a reduced list per child.
+
+    One budget step is spent per column tested, hashed or cut-reduced.
+    ``budget`` is a step limit (None is unlimited) or a _Budget to spend
+    from.
     """
     _, sub, mul, inv = op_tables(parity.field)
-    spend = _Budget(budget).spend
+    spend = (budget if isinstance(budget, _Budget) else _Budget(budget)).spend
     best = r + 1
 
     def eliminate(col, prow, pivot):
@@ -292,6 +330,17 @@ def _dependency_min_weight(parity, r, budget=None):
 
     def dfs(size, later):
         nonlocal best
+        if size + 3 == best:  # the children are leaves: hash their lines
+            lines = set()
+            for col in later:
+                spend()
+                if not any(col):
+                    best = size + 1
+                    return
+                lines.add(tuple(pivot_of(col)[1]))
+            if len(lines) < len(later):
+                best = size + 2
+            return
         stop = cut(later) if size + 2 < best else len(later)
         for i in range(stop):
             spend()

@@ -637,40 +637,16 @@ class _ColumnSearch:
         )
 
 
-def column_distance(desc, j, budget=None, method="block"):
+def column_distance(desc, j, budget=None):
     """Exact j-th column distance: the least weight of a kernel vector of the
     sliding matrix whose first length-n block is nonzero.
 
-    method "block" walks the blocks sequentially with the carry syndrome as
-    state; method "support" enumerates supports of the full sliding system in
-    lexicographic order, as a slow reference.  Both are exact.
+    The search walks the blocks sequentially with the carry syndrome as
+    state (`_ColumnSearch`).
     """
     if j < 0:
         raise InvalidParams("window index must be nonnegative")
-    if method == "block":
-        return _ColumnSearch(desc, budget=budget).distance(j)
-    if method == "support":
-        return _column_distance_support(desc, j, budget)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _column_distance_support(desc, j, budget):
-    from .linalg import solve_on_support
-
-    sliding = sliding_matrix(desc.parity, j)
-    n = desc.n
-    cap = _cap(desc.n - desc.k, j)
-    spend = _Budget(budget).spend
-    for w in range(1, cap + 1):
-        for support in combinations(range(sliding.cols), w):
-            if support[0] >= n:
-                break
-            spend(lower_bound=w)
-            if solve_on_support(sliding, support, require_nonzero_block=(0, n)):
-                return w
-    raise PropertyViolation(
-        f"no weight <= {cap} kernel vector with nonzero first block at window {j}"
-    )
+    return _ColumnSearch(desc, budget=budget).distance(j)
 
 
 @dataclass(frozen=True)

@@ -175,45 +175,3 @@ def nullspace(mat):
         basis.append(tuple(v))
     return basis
 
-
-def columns_independent(mat, subset):
-    """Whether the chosen columns are linearly independent."""
-    subset = tuple(subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError("repeated column index")
-    if not subset:
-        return True
-    return rank(mat.take_cols(subset)) == len(subset)
-
-
-def solve_on_support(mat, support, require_nonzero_block=None):
-    """A kernel vector supported inside the given columns, or None.
-
-    Returns a full-length vector v with mat @ v == 0 and support(v) a subset
-    of ``support``.  When ``require_nonzero_block`` is a (start, stop) column
-    range, v must additionally be nonzero somewhere in that range; None is
-    returned when no such vector exists.
-    """
-    support = tuple(support)
-    if not support:
-        return None
-    sub = mat.take_cols(support)
-    basis = nullspace(sub)
-    if not basis:
-        return None
-    choice = None
-    if require_nonzero_block is None:
-        choice = basis[0]
-    else:
-        start, stop = require_nonzero_block
-        positions = [i for i, c in enumerate(support) if start <= c < stop]
-        for vec in basis:
-            if any(vec[i] != 0 for i in positions):
-                choice = vec
-                break
-        if choice is None:
-            return None
-    out = [0] * mat.cols
-    for i, c in enumerate(support):
-        out[c] = choice[i]
-    return tuple(out)

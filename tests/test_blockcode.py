@@ -33,7 +33,8 @@ from umconv.galois import (
     poly_from_roots,
     poly_mod,
 )
-from umconv.linalg import FMatrix, columns_independent, nullspace, rank
+from umconv.linalg import FMatrix, nullspace, rank
+from oracles import columns_independent
 
 F8 = field_for_order(8)
 
@@ -131,16 +132,43 @@ def test_min_distance_budget():
     mat = root_parity_matrix(F8, roots, 7)
     with pytest.raises(BudgetExceeded):
         min_distance(mat, budget=3)
-    # One step per column test and one per column a cut reduces.  Every 4
-    # columns of this MDS parity are independent, so a node of s columns
-    # skips its last 4 - s later columns, having reduced 5 - s; the nodes
-    # of 3 columns do not recurse and make no cut.  The cuts reduce
-    # 5 + 3*4 + 6*3 = 35 columns and the 1 + 3 + 6 + 10 nodes test
-    # 3 + 6 + 10 + 25 = 44, so 79 steps (98 tests without the cut).  The
-    # first cut alone spends more than 3.
-    assert min_distance(mat, budget=79) == 5
+    # One step per column tested, hashed or cut-reduced.  k = 3 < r = 4, so
+    # the search runs on the 3 x 7 kernel basis, every 3 columns of which
+    # are independent.  Its root cuts columns 6, 5, 4 and 3, the first that
+    # reduces to zero (4 steps), and tests columns 0..3 (4 steps).  Each
+    # child of one column has best = 4 = 1 + 3, so it hashes its 6 - i
+    # later columns: 6 + 5 + 4 + 3 = 18.  The result is k + 1, so d = r + 1
+    # in 26 steps (79 on the parity check, 98 without the cut).  The first
+    # cut alone spends more than 3.
+    assert min_distance(mat, budget=26) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(mat, budget=78)
+        min_distance(mat, budget=25)
+
+
+def test_min_distance_pair_rule_steps_when_k_is_at_least_r():
+    # k = r = 3, so the search runs on the parity check.  Every 3 columns
+    # are independent: the root cuts columns 5, 4, 3 and 2 (4 steps) and
+    # tests columns 0..2 (3 steps), and each child of one column has
+    # best = 4 = 1 + 3 and hashes its 5 - i later columns: 5 + 4 + 3 = 12.
+    mat = root_parity_matrix(F8, [F8.pow(F8.theta, i) for i in range(3)], 6)
+    assert min_distance(mat, budget=19) == 4
+    with pytest.raises(BudgetExceeded):
+        min_distance(mat, budget=18)
+
+
+def test_min_distance_spends_one_budget_on_both_searches():
+    # k = 1 < r = 3 and d = 3: the kernel is spanned by (2, 2, 0, 1).  The
+    # search on that basis tests columns 0, 1 and 2, which is zero, and
+    # returns 1, not k + 1 (3 steps).  The search on the parity check then
+    # cuts columns 3, 2, 1 and 0 = col 3 - col 1 (4 steps), tests column 0
+    # (1 step), and its child hashes the 3 reduced later columns, of which
+    # columns 1 and 3 are equal (3 steps): 11 in all, though each search
+    # alone fits in 10.
+    mat = FMatrix(field_for_order(3), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+    assert nullspace(mat) == [(2, 2, 0, 1)]
+    assert min_distance(mat, budget=11) == 3
+    with pytest.raises(BudgetExceeded):
+        min_distance(mat, budget=10)
 
 
 def _oracle_min_distance(parity):
@@ -198,36 +226,43 @@ def test_min_distance_matches_subset_oracle():
     assert min_distance(repeated) == 2
 
 
+def _damaged_mds_rows(rng, f, n, r, kind):
+    """A shuffled MDS root parity of rank r (random rows where GF(q) has too
+    few powers of theta); kind 1 zeroes a column, kind 2 repeats one up to
+    a scalar and kind 3 adds two dependent rows."""
+    q = f.q
+    if q < 4:
+        rows = _random_parity(rng, f, n, r, 0)
+    else:
+        roots = [f.pow(f.theta, i) for i in range(r)]
+        rows = root_parity_matrix(f, roots, n).to_lists()
+    order = rng.sample(range(n), n)
+    rows = [[row[i] for i in order] for row in rows]
+    if kind == 1:  # a zero column
+        zero = rng.randrange(n)
+        for row in rows:
+            row[zero] = 0
+    if kind == 2:  # a column repeated up to a scalar
+        src, dst = rng.sample(range(n), 2)
+        c = rng.randrange(1, q)
+        for row in rows:
+            row[dst] = f.mul(c, row[src])
+    if kind == 3:  # dependent rows: combinations of the others
+        rows = _add_combinations(rng, f, rows, 2)
+    return rows
+
+
 def test_dependency_cut_matches_subset_oracle():
-    # Shuffled MDS parities (random rows where GF(q) has too few powers of
-    # theta), damaged in turn by a zero column, a column repeated up to a
-    # scalar or dependent rows, so that the first column of a node's cut
-    # that depends on the ones after it sits anywhere in its later list.
+    # Damaged MDS parities, so that the first column of a node's cut that
+    # depends on the ones after it sits anywhere in its later list.
     rng = random.Random(1021)
     for q in (2, 3, 4, 5, 7, 8, 9, 11):
         f = field_for_order(q)
         for trial in range(16):
             n = rng.randint(3, 9 if q < 4 else min(9, q - 1))
             r = rng.randint(1, n - 1)
-            if q < 4:
-                rows = _random_parity(rng, f, n, r, 0)
-            else:
-                roots = [f.pow(f.theta, i) for i in range(r)]
-                rows = root_parity_matrix(f, roots, n).to_lists()
-            order = rng.sample(range(n), n)
-            rows = [[row[i] for i in order] for row in rows]
             kind = trial % 4
-            if kind == 1:  # a zero column
-                zero = rng.randrange(n)
-                for row in rows:
-                    row[zero] = 0
-            if kind == 2:  # a column repeated up to a scalar
-                src, dst = rng.sample(range(n), 2)
-                c = rng.randrange(1, q)
-                for row in rows:
-                    row[dst] = f.mul(c, row[src])
-            if kind == 3:  # dependent rows: combinations of the others
-                rows = _add_combinations(rng, f, rows, 2)
+            rows = _damaged_mds_rows(rng, f, n, r, kind)
             mat = FMatrix(f, rows)
             want = _oracle_min_distance(mat)
             if kind in (1, 2):
@@ -235,16 +270,44 @@ def test_dependency_cut_matches_subset_oracle():
             assert _dependency_min_weight(mat, rank(mat)) == want, (q, rows)
 
 
+def test_dual_and_pair_rules_match_subset_oracle():
+    # min_distance on both sides of k = r against trying every subset: in
+    # odd trials the rank is drawn above n / 2, so k < r and the dual rule
+    # runs, in even ones at most n / 2.  Damaged parities are not MDS, so
+    # the dual search falls back, and the pair rule meets zero and scaled
+    # repeated columns on both sides.  GF(257) runs on-demand arithmetic,
+    # and above k = 2 no enumeration backs it.
+    rng = random.Random(2207)
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 257):
+        f = field_for_order(q)
+        for trial in range(16 if q < 257 else 8):
+            n = rng.randint(3, 9 if q < 4 else min(9, q - 1))
+            if trial % 2:
+                r = rng.randint(n // 2 + 1, n - 1)
+            else:
+                r = rng.randint(1, n // 2)
+            cases.append(FMatrix(f, _damaged_mds_rows(rng, f, n, r, trial // 2 % 4)))
+    kinds = set()
+    for mat in cases:
+        want = _oracle_min_distance(mat)
+        r = rank(mat)
+        kinds.add((mat.cols - r < r, want == r + 1))
+        assert min_distance(mat) == want, (mat.field.q, mat.to_lists())
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_dependency_cut_steps_of_a_gf16_mds_parity():
-    # Rank 13 of 15 columns: without the cut the search made 32,751 column
-    # tests; with it, every node of s columns skips its last 13 - s later
-    # columns.
+    # Rank 13 of 15 columns, so k = 2: the search runs on the 2 x 15 kernel
+    # basis, whose root has best = 3 = 0 + 3 and hashes its 15 columns.
+    # On the parity check the search took 637 steps with the cut and
+    # 32,751 column tests without it.
     f16 = field_for_order(16)
     mat = root_parity_matrix(f16, [f16.pow(f16.theta, i) for i in range(13)], 15)
     assert rank(mat) == 13
-    assert min_distance(mat, budget=637) == 14
+    assert min_distance(mat, budget=15) == 14
     with pytest.raises(BudgetExceeded):
-        min_distance(mat, budget=636)
+        min_distance(mat, budget=14)
 
 
 def test_min_distance_without_lookup_tables():
@@ -252,9 +315,9 @@ def test_min_distance_without_lookup_tables():
     # arithmetic instead; the budget pin holds there too.
     f257 = field_for_order(257)
     roots = [f257.pow(f257.theta, i) for i in range(4)]
-    assert min_distance(root_parity_matrix(f257, roots, 7), budget=79) == 5
+    assert min_distance(root_parity_matrix(f257, roots, 7), budget=26) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(root_parity_matrix(f257, roots, 7), budget=78)
+        min_distance(root_parity_matrix(f257, roots, 7), budget=25)
     assert min_distance(root_parity_matrix(f257, roots, 10)) == 5
     repeated = FMatrix(f257, [[1, 2, 3, 2], [4, 5, 6, 5], [1, 1, 2, 1]])
     assert min_distance(repeated) == 2
@@ -378,8 +441,10 @@ def test_enumeration_matches_kernel_oracle():
 def test_min_distance_cross_check_guard(monkeypatch):
     roots = [F8.pow(F8.theta, i) for i in range(4)]
     mat = root_parity_matrix(F8, roots, 7)
+    # The stub is wrong on either side: k on the kernel basis is not
+    # k + 1, so the search falls back to the parity check, where r < 5.
     with monkeypatch.context() as m:
-        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: 4)
+        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: r)
         with pytest.raises(RuntimeError, match="mismatch"):
             min_distance(mat)
     # The cross-check runs exactly when q^k <= 2^20.
@@ -437,19 +502,54 @@ def test_min_distance_memo_leaves_budgeted_calls_alone():
     mat = root_parity_matrix(F8, roots, 7)
     assert min_distance(mat) == 5
     with pytest.raises(BudgetExceeded):
-        min_distance(mat, budget=78)
-    assert min_distance(mat, budget=79) == 5
+        min_distance(mat, budget=25)
+    assert min_distance(mat, budget=26) == 5
 
 
 def test_min_distance_memo_stores_no_failed_proof(monkeypatch):
     roots = [F8.pow(F8.theta, i) for i in range(4)]
     mat = root_parity_matrix(F8, roots, 7)
+    # The stub is wrong on either side: k on the kernel basis is not
+    # k + 1, so the search falls back to the parity check, where r < 5.
     with monkeypatch.context() as m:
-        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: 4)
+        m.setattr(blockcode, "_dependency_min_weight", lambda parity, r, budget: r)
         with pytest.raises(RuntimeError, match="mismatch"):
             min_distance(mat)
     assert blockcode._MIN_DISTANCE_MEMO == {}
     assert min_distance(mat) == 5
+
+
+def test_min_distance_dual_guard(monkeypatch):
+    # k = 1 < r = 3 and d = 3; a stub that calls the dual MDS (k + 1 on the
+    # kernel basis) is caught by the enumeration.
+    mat = FMatrix(field_for_order(3), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+    asked = []
+
+    def stub(parity, r, budget):
+        asked.append(r)
+        return r + 1
+
+    monkeypatch.setattr(blockcode, "_dependency_min_weight", stub)
+    with pytest.raises(RuntimeError, match="mismatch"):
+        min_distance(mat)
+    assert asked == [1]
+    assert blockcode._MIN_DISTANCE_MEMO == {}
+
+
+def test_min_distance_checks_the_kernel_basis(monkeypatch, distance_route_calls):
+    # A basis with a vector outside the kernel, or one of too low a rank,
+    # raises before either route runs.
+    roots = [F8.pow(F8.theta, i) for i in range(4)]
+    mat = root_parity_matrix(F8, roots, 7)
+    basis = nullspace(mat)
+    outside = [basis[0][:-1] + (F8.add(basis[0][-1], 1),)] + basis[1:]
+    short = [basis[0], basis[1], basis[0]]
+    for wrong, message in ((outside, "H G"), (short, "rank")):
+        monkeypatch.setattr(blockcode, "nullspace", lambda parity, w=wrong: w)
+        with pytest.raises(RuntimeError, match=f"kernel basis check failed: {message}"):
+            min_distance(mat)
+    assert distance_route_calls == []
+    assert blockcode._MIN_DISTANCE_MEMO == {}
 
 
 def test_block_code_from_parity():

@@ -288,6 +288,14 @@ def test_expected_tags_do_not_affect_equality():
     assert a == b
 
 
+def _bundle_digest(bundle):
+    """sha256 of the bundle's canonical JSON and split distances, as
+    bench/workloads.bundle_digest computes it."""
+    payload = {"bundle": bundle.to_json(), "split_distances": list(bundle.split_distances)}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # Realified bundles over fields no fixture uses (the fixtures are all over
 # GF(8)), pinned by the sha256 of their canonical JSON and split distances.
 @pytest.mark.parametrize(
@@ -308,7 +316,23 @@ def test_expected_tags_do_not_affect_equality():
     ],
 )
 def test_realified_bundles_pinned(build, args, digest):
-    b = build(*args)
-    payload = {"bundle": b.to_json(), "split_distances": list(b.split_distances)}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _bundle_digest(build(*args)) == digest
+
+
+# Every admissible code at a q above the sweep's, pinned as
+# tools/bench_construct.py digests them: sha256 over the hex bundle digests
+# in admissible_parameters order.
+@pytest.mark.parametrize(
+    "q, count, digest",
+    [
+        (11, 107, "292b4852c21db75d877054aa83a536b322b9e22e18dfed6266ad27a7d8e3a43f"),
+        (13, 179, "277fa310f067a0f2829c845b77d443b3ab219db769081e019366d23ade3654bf"),
+    ],
+)
+def test_admissible_constructions_pinned(q, count, digest):
+    specs = admissible_parameters(q)
+    assert len(specs) == count
+    total = hashlib.sha256()
+    for spec in specs:
+        total.update(_bundle_digest(construct_family(spec)).encode())
+    assert total.hexdigest() == digest

@@ -34,6 +34,7 @@ from umconv.convcode import (
 from umconv.fixtures import FIXTURES, build_fixture, fixture_by_number
 from umconv.galois import field_for_order, op_tables
 from umconv.linalg import FMatrix, rank
+from oracles import column_distance_support
 
 F2 = field_for_order(2)
 F3 = field_for_order(3)
@@ -242,7 +243,7 @@ def test_classify_full_rank_stack():
     assert report.singleton_bound == 9
     assert report.column_distances == {0: 2, 1: 4, 2: 5, 3: 6}
     for j, d in report.column_distances.items():
-        assert column_distance(desc, j, method="support") == d
+        assert column_distance_support(desc, j) == d
     assert report.dfree_upper == 9
     cert = report.to_json()["certificates"][0]
     assert cert["type"] == "block-split" and cert["block_d"] is None
@@ -282,8 +283,8 @@ def test_column_distance_three_routes_small():
         desc = ConvCodeDesc.from_parity(pm)
         for j in range(3):
             brute = _brute_column_distance(desc, j)
-            block = column_distance(desc, j, method="block")
-            support = column_distance(desc, j, method="support")
+            block = column_distance(desc, j)
+            support = column_distance_support(desc, j)
             assert brute == block == support, (pm.to_json(), j)
 
 
@@ -298,9 +299,7 @@ def test_column_distance_routes_wider():
             pm = _random_unit_memory(rng, f, n, kappa, h1_rows)
             desc = ConvCodeDesc.from_parity(pm)
             for j in range(3):
-                assert column_distance(desc, j, method="block") == column_distance(
-                    desc, j, method="support"
-                )
+                assert column_distance(desc, j) == column_distance_support(desc, j)
 
 
 def _check_engine_reuse(seed, monkeypatch):
@@ -327,7 +326,7 @@ def _check_engine_reuse(seed, monkeypatch):
         calls.clear()
         for j in range(4):
             d = engine.distance(j)
-            assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
+            assert d == column_distance_support(desc, j), (pm.to_json(), j)
             if f.q ** (n * (j + 1)) <= 20_000:
                 assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
         supports = sum(layer.free.size for layer in engine._layers.values())
@@ -430,7 +429,7 @@ def test_batched_search_against_support_and_brute_force(q, route, monkeypatch):
         assert (engine._dtype == np.uint8) == (q <= 256)
         for j in range(3):
             d = engine.distance(j)
-            assert d == column_distance(desc, j, method="support"), (pm.to_json(), j)
+            assert d == column_distance_support(desc, j), (pm.to_json(), j)
             if q ** (desc.n * (j + 1)) <= 20_000:
                 assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
         for layer in engine._layers.values():
@@ -586,10 +585,10 @@ def test_layer_rows_bounded_by_budget(budget, weights):
 
 def test_column_distance_fixture_vs_support():
     b1 = build_fixture(fixture_by_number(1))
-    assert column_distance(b1.desc, 0, method="support") == 4
-    assert column_distance(b1.desc, 1, method="support") == 6
-    assert column_distance(b1.desc, 0, method="block") == 4
-    assert column_distance(b1.desc, 1, method="block") == 6
+    assert column_distance_support(b1.desc, 0) == 4
+    assert column_distance_support(b1.desc, 1) == 6
+    assert column_distance(b1.desc, 0) == 4
+    assert column_distance(b1.desc, 1) == 6
 
 
 def test_column_distance_monotone_and_capped():
@@ -624,7 +623,7 @@ def test_column_distance_budget():
     assert info.value.lower_bound is not None
     assert info.value.lower_bound >= 1
     with pytest.raises(BudgetExceeded):
-        column_distance(b10.desc, 1, budget=10, method="support")
+        column_distance_support(b10.desc, 1, budget=10)
 
 
 # -- classification -----------------------------------------------------------

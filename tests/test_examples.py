@@ -5,6 +5,7 @@ import pytest
 from umconv.convcode import Verdict, column_distance
 from umconv.fixtures import FIXTURES, build_fixture, check_fixture, fixture_by_number
 from umconv.linalg import FMatrix
+from oracles import column_distance_support
 
 EXPECTED_DFREE = {1: 6, 2: 7, 3: 7, 4: 7, 5: 7, 6: 8, 7: 8, 8: 6, 9: 8, 10: 9, 11: 8}
 SMDS_CLAIMED = {1, 2, 4, 6, 8, 10, 11}
@@ -123,6 +124,4 @@ def test_example_ten_uses_theta_override():
 
 def test_support_method_agrees_on_small_fixture():
     desc = build_fixture(fixture_by_number(1)).desc
-    assert column_distance(desc, 0, method="support") == column_distance(
-        desc, 0, method="block"
-    )
+    assert column_distance_support(desc, 0) == column_distance(desc, 0)

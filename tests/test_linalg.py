@@ -9,12 +9,11 @@ from umconv.linalg import (
     FieldMismatch,
     FMatrix,
     IndexOutOfRange,
-    columns_independent,
     nullspace,
     rank,
     rref,
-    solve_on_support,
 )
+from oracles import columns_independent, solve_on_support
 
 F2 = field_for_order(2)
 F3 = field_for_order(3)
