@@ -21,7 +21,7 @@ from .blockcode import BudgetExceeded, _Budget, min_distance
 from .galois import (
     array_tables, poly_add, poly_deg, poly_gcd, poly_mul, poly_neg, poly_trim,
 )
-from .linalg import FMatrix, rank, rref
+from .linalg import FMatrix, rank, rref, rref_stack
 
 
 class InvalidParams(ValueError):
@@ -295,7 +295,8 @@ class _Layer:
     """Every size-w support S of H0, in lexicographic order, ready to solve
     H0_S x = t for any target t at once.
 
-    Per support: `system`, the transform T_S of `_ColumnSearch._reduction`
+    Per support: `system`, the transform T_S (the right-hand block of the
+    reduced [H0_S | I] that `_ColumnSearch._layer` gets from `rref_stack`)
     stacked on G_S T_S, where G_S = -H1 on the columns of S, pivot columns
     first (past the rank G_S meets only zero entries of T_S t whenever the
     system is solvable, so only -H1 on the pivot columns counts); the mask
@@ -368,7 +369,6 @@ class _ColumnSearch:
         powers = [self.q**i for i in range(self.kappa)]
         wide = self.q**self.kappa > 2**62
         self._powers = np.array(powers, dtype=object if wide else np.int64)
-        self._h0_rows = [self.h0.row(r) for r in range(self.kappa)]
         self._layers = {}
         self._sol_cache = {}
         self._dist = {}
@@ -438,47 +438,35 @@ class _ColumnSearch:
         # Axis i holds coordinate i of t, so Fortran order is the code order.
         self._ftable = table.ravel(order="F")
 
-    def _reduction(self, support):
-        """Pivots inside S, reduced rows of H0_S and transform T, from one
-        rref of [H0_S | I_kappa] per support S.
+    def _layer(self, w):
+        """The weight-w layer, built on first use by one `rref_stack` of
+        [H0_S | I_kappa] over every size-w support S; `rref` of the last
+        support cross-checks it.  It has no rows yet: `_add_rows` builds
+        them for the supports a query has paid for.
 
         T H0_S is the reduced form of H0_S, so H0_S x = t is inconsistent
         exactly when T t is nonzero past the rank; otherwise RREF is unique,
         and rref([H0_S | t]) is the reduced rows with right-hand column T t.
         """
-        w, kappa = len(support), self.kappa
-        aug = [
-            [row[c] for c in support] + [int(i == r) for i in range(kappa)]
-            for r, row in enumerate(self._h0_rows)
-        ]
-        reduced, _, pivots = rref(FMatrix(self.field, aug))
-        pivots = tuple(p for p in pivots if p < w)
-        rows = [reduced.row(r) for r in range(kappa)]
-        return pivots, [r[:w] for r in rows[: len(pivots)]], [r[w:] for r in rows]
-
-    def _layer(self, w):
-        """The weight-w layer, built on first use from one reduction per
-        support.  It has no rows yet: `_add_rows` builds them for the
-        supports a query has paid for."""
         layer = self._layers.get(w)
         if layer is not None:
             return layer
         kappa, dt = self.kappa, self._dtype
-        size = comb(self.n, w)
-        ranks = np.empty(size, dtype=np.intp)
-        transform = np.empty((size, kappa, kappa), dtype=dt)
-        # Columns of each support and its reduced rows, pivot columns first;
-        # filled support by support, so no list of reductions is kept.
-        cols = np.empty((size, w), dtype=np.intp)
-        reduced = np.zeros((size, kappa, w), dtype=dt)
-        for i, support in enumerate(combinations(range(self.n), w)):
-            pivots, rows, trans = self._reduction(support)
-            order = list(pivots) + [c for c in range(w) if c not in pivots]
-            ranks[i] = len(pivots)
-            transform[i] = trans
-            cols[i] = [support[c] for c in order]
-            if rows:
-                reduced[i, : len(rows)] = [[r[c] for c in order] for r in rows]
+        supports = np.array([*combinations(range(self.n), w)], np.intp)
+        size = len(supports)
+        h0 = np.array(self.h0.to_lists(), dtype=dt)[:, supports].swapaxes(0, 1)
+        ident = np.broadcast_to(np.eye(kappa, dtype=dt), (size, kappa, kappa))
+        aug = np.concatenate([h0, ident], axis=2)
+        stack, mask = rref_stack(self.field, aug)
+        check, _, pivots = rref(FMatrix(self.field, aug[-1]))
+        found = (stack[-1].tolist(), tuple(np.flatnonzero(mask[-1]).tolist()))
+        if (check.to_lists(), pivots) != found:
+            raise PropertyViolation(f"rref_stack disagrees with rref at weight {w}")
+        # Columns of each support and its reduced rows, pivot columns first.
+        order = np.argsort(~mask[:, :w], axis=1, kind="stable")
+        cols = np.take_along_axis(supports, order, axis=1)
+        ranks = mask[:, :w].sum(axis=1)
+        transform = stack[:, :, w:]
         neg_h1 = np.moveaxis(self._neg_h1[:, cols], 0, 1)  # (size, kappa, w)
         carry = np.zeros((size, kappa, kappa), dtype=dt)
         carry[:, :, : min(w, kappa)] = neg_h1[:, :, :kappa]
@@ -487,7 +475,7 @@ class _ColumnSearch:
             system=np.concatenate([transform, carry_map], axis=1),
             beyond=np.arange(kappa) >= ranks[:, None],
             free=w - ranks,
-            reduced=reduced,
+            reduced=np.take_along_axis(stack[:, :, :w], order[:, None], axis=2),
             neg_h1=neg_h1,
         )
         self._layers[w] = layer
@@ -550,7 +538,13 @@ class _ColumnSearch:
         self.budget.spend(sum(c * self.q**f for f, c in enumerate(per_free) if f))
         missing = hit[layer.start[hit] < 0]
         if missing.size:
-            self._add_rows(layer, missing)
+            try:
+                self._add_rows(layer, missing)
+            except (MemoryError, ValueError) as exc:  # ValueError: a size past intp
+                raise InvalidParams(
+                    f"cannot build up to {self.q - 1}^{layer.free[missing].max()} "
+                    f"rows per support of weight {w} over GF({self.q}): {exc}"
+                ) from None
         counts = layer.count[hit]
         firsts = layer.start[hit] - (np.cumsum(counts) - counts)
         rows = np.arange(counts.sum()) + np.repeat(firsts, counts)

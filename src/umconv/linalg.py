@@ -8,7 +8,9 @@ and byte-reproducible.
 
 from __future__ import annotations
 
-from .galois import op_tables
+import numpy as np
+
+from .galois import array_tables, op_tables
 
 
 class FieldMismatch(ValueError):
@@ -150,6 +152,43 @@ def rref(mat):
         pivots.append(col)
         prow += 1
     return FMatrix(f, data), len(pivots), tuple(pivots)
+
+
+def rref_stack(field, mats):
+    """Reduced row echelon forms of a (B, r, c) stack of element codes.
+
+    Returns (reduced stack, (B, c) pivot mask).  One vectorized step per
+    column: every matrix with a nonzero entry at or below its own rank there
+    pivots on the first such entry, as `rref` does, and clears the column in
+    its other rows.  RREF is unique, so each matrix equals its `rref` entry
+    for entry.  The arithmetic indexes `array_tables` in 2-D, so fields above
+    256 elements run through their elementwise stand-ins.
+    """
+    add, mul, dtype = array_tables(field)
+    m = np.array(mats, dtype=dtype)
+    count, nrows, ncols = m.shape
+    mask = np.zeros((count, ncols), dtype=bool)
+    ranks = np.zeros(count, dtype=np.intp)
+    minus_one = field.neg(1)
+    for col in range(ncols):
+        below = (m[:, :, col] != 0) & (np.arange(nrows) >= ranks[:, None])
+        idx = np.flatnonzero(below.any(axis=1))
+        if not idx.size:
+            continue
+        k, prow, sel = np.arange(idx.size), ranks[idx], below[idx].argmax(axis=1)
+        sub = m[idx]
+        pivot_row = sub[k, sel]
+        sub[k, sel] = sub[k, prow]
+        present, which = np.unique(pivot_row[:, col], return_inverse=True)
+        inv = np.array([field.inv(a) for a in present.tolist()], dtype=dtype)
+        pivot_row = mul[inv[which, None], pivot_row]
+        factor = mul[minus_one, sub[:, :, col]]
+        sub = add[sub, mul[factor[:, :, None], pivot_row[:, None, :]]]
+        sub[k, prow] = pivot_row
+        m[idx] = sub
+        mask[idx, col] = True
+        ranks[idx] += 1
+    return m, mask
 
 
 def rank(mat):

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -427,6 +428,40 @@ def test_verify_bundle_over_gf_3_40():
     assert code == EXIT_BUDGET
     assert "mds=confirmed" in out
     assert "Traceback" not in err
+
+
+def test_verify_rows_past_the_array_size_limit_exit_2():
+    # With budget to spare, a support with a free column asks for 3^40 - 1
+    # rows, more than any numpy array holds; numpy refuses before it
+    # allocates anything.
+    data = {"q": 3**40, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+    code, out, err = _run_verify_json(data, "--budget", str(10**20))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: cannot build up to ") and err.count("\n") == 1
+    assert f"over GF({3**40})" in err and "Maximum allowed dimension" in err
+
+
+def test_verify_rows_past_memory_exit_2(tmp_path):
+    # 2^31 - 2 rows of one support take 16 GiB; under a 2 GiB address-space
+    # limit the allocation fails at once, and the run ends in one line.
+    bundle = tmp_path / "bundle.json"
+    data = {"q": 2**31 - 1, "parity": {"coeffs": [[[1, 2]], [[3, 4]]]}}
+    bundle.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(umconv.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "umconv.cli", "verify", "--input", str(bundle),
+         "--budget", str(10**10)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, ""), proc.stderr
+    assert proc.stderr.startswith("error: cannot build up to ")
+    assert proc.stderr.count("\n") == 1
+    assert f"over GF({2**31 - 1})" in proc.stderr and "allocate" in proc.stderr
 
 
 @pytest.mark.parametrize(

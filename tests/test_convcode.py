@@ -1,7 +1,9 @@
 """Convolutional layer: polynomial parity checks, column distances,
 free-distance certificates, classification, minimality."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -32,8 +34,8 @@ from umconv.convcode import (
     unit_memory_parity,
 )
 from umconv.fixtures import FIXTURES, build_fixture, fixture_by_number
-from umconv.galois import field_for_order, op_tables
-from umconv.linalg import FMatrix, rank
+from umconv.galois import field_for_order
+from umconv.linalg import FMatrix, rank, rref, rref_stack
 from oracles import column_distance_support
 
 F2 = field_for_order(2)
@@ -305,14 +307,21 @@ def test_column_distance_routes_wider():
 def _check_engine_reuse(seed, monkeypatch):
     """One engine walks windows 0..3 on random codes; every window must match
     the support engine (and brute force where it is small), and the engine
-    must row-reduce each support exactly once."""
-    calls = []
-    real_rref = convcode.rref
+    must row-reduce each support exactly once: the stacks handed to
+    `rref_stack` hold one matrix per support, and `rref` runs once per layer
+    as its cross-check."""
+    stacked, calls = [], []
+    real_stack, real_rref = convcode.rref_stack, convcode.rref
+
+    def counting_stack(field, mats):
+        stacked.append(len(mats))
+        return real_stack(field, mats)
 
     def counting_rref(mat):
         calls.append(mat)
         return real_rref(mat)
 
+    monkeypatch.setattr(convcode, "rref_stack", counting_stack)
     monkeypatch.setattr(convcode, "rref", counting_rref)
     rng = random.Random(seed)
     engines = []
@@ -323,6 +332,7 @@ def _check_engine_reuse(seed, monkeypatch):
         pm = _random_unit_memory(rng, f, n, kappa, rng.randint(1, kappa))
         desc = ConvCodeDesc.from_parity(pm)
         engine = _ColumnSearch(desc)
+        stacked.clear()
         calls.clear()
         for j in range(4):
             d = engine.distance(j)
@@ -330,7 +340,8 @@ def _check_engine_reuse(seed, monkeypatch):
             if f.q ** (n * (j + 1)) <= 20_000:
                 assert d == _brute_column_distance(desc, j), (pm.to_json(), j)
         supports = sum(layer.free.size for layer in engine._layers.values())
-        assert len(calls) == supports <= 2**n
+        assert sum(stacked) == supports <= 2**n
+        assert len(calls) == len(stacked) == len(engine._layers)
         engines.append(engine)
     return engines
 
@@ -347,6 +358,67 @@ def test_column_search_first_hit_route(monkeypatch):
     monkeypatch.setattr(convcode, "_F_TABLE_LIMIT", 0)
     engines = _check_engine_reuse(47, monkeypatch)
     assert all(e._ftable is None for e in engines)
+
+
+def _support_layer(desc, w):
+    """A layer's arrays, as lists, from one `rref` of [H0_S | I] per support
+    S: pivot columns first, and -H1 on the first kappa of them times T_S as
+    the carry map."""
+    f, pm = desc.field, desc.parity
+    h0, h1 = pm.coefficient(0).to_lists(), pm.coefficient(1).to_lists()
+    kappa = len(h0)
+    out = {"system": [], "beyond": [], "free": [], "reduced": [], "neg_h1": []}
+    for support in itertools.combinations(range(desc.n), w):
+        aug = [[row[c] for c in support] + [int(i == r) for i in range(kappa)]
+               for r, row in enumerate(h0)]
+        reduced, _, pivots = rref(FMatrix(f, aug))
+        pivots = [p for p in pivots if p < w]
+        rk, order = len(pivots), pivots + [c for c in range(w) if c not in pivots]
+        rows = reduced.to_lists()
+        trans = [row[w:] for row in rows]
+        neg_h1 = [[f.neg(row[support[c]]) for c in order] for row in h1]
+        carry = FMatrix(f, [[row[c] if c < w else 0 for c in range(kappa)]
+                            for row in neg_h1])
+        columns = [carry.matvec(col) for col in zip(*trans)]
+        carry_map = [list(row) for row in zip(*columns)]
+        out["system"].append(trans + carry_map)
+        out["beyond"].append([r >= rk for r in range(kappa)])
+        out["free"].append(w - rk)
+        out["reduced"].append([[row[c] for c in order] for row in rows])
+        out["neg_h1"].append(neg_h1)
+    return out
+
+
+def test_layers_match_support_rref(sweep_results):
+    # Every weight of every fixture and q <= 5 sweep code: the stacked
+    # reduction gives each support exactly its own rref, ranks and pivots.
+    descs = [build_fixture(fx).desc for fx in FIXTURES]
+    descs += [b.desc for spec, b, _, _ in sweep_results if spec.q <= 5]
+    assert len(descs) == 11 + 14
+    for desc in descs:
+        engine = _ColumnSearch(desc)
+        for w in range(desc.n + 1):
+            layer = engine._layer(w)
+            want = _support_layer(desc, w)
+            got = {key: getattr(layer, key).tolist() for key in want}
+            assert got == want, (desc.parity.to_json(), w)
+
+
+def test_layer_cross_checks_the_stack(monkeypatch):
+    # A stack kernel off by one entry of the support that `rref` re-reduces
+    # stops the layer before any search uses it.
+    real_stack = convcode.rref_stack
+
+    def flipped(field, mats):
+        stack, mask = real_stack(field, mats)
+        stack[-1, 0, -1] = (int(stack[-1, 0, -1]) + 1) % field.order
+        return stack, mask
+
+    monkeypatch.setattr(convcode, "rref_stack", flipped)
+    engine = _ColumnSearch(build_fixture(FIXTURES[0]).desc)
+    with pytest.raises(PropertyViolation, match="rref_stack disagrees with rref"):
+        engine._layer(3)
+    assert engine._layers == {}
 
 
 def _brute_f_table(h0):
@@ -838,26 +910,6 @@ def _block_counts(n, kappa, j, s=0, taken=0):
     ]
 
 
-def _all_nonsingular(tables, mats):
-    """Whether every matrix of a (B, r, r) stack of element codes is
-    invertible, by Gaussian elimination on the whole stack at once.  The
-    tables are flat: sub[a q + b] = a - b, mul[a q + b] = a b."""
-    q, sub, mul, inv = tables
-    b = np.arange(len(mats))
-    m = mats
-    while m.shape[1]:
-        nonzero = m[:, :, 0] != 0
-        if not nonzero.any(axis=1).all():
-            return False
-        p = nonzero.argmax(axis=1)
-        row = m[b, p]
-        m[b, p] = m[:, 0]  # the pivot row leaves, row 0 takes its place
-        row = mul[inv[row[:, :1]] * q + row[:, 1:]]
-        rest = m[:, 1:]
-        m = sub[rest[:, :, 1:] * q + mul[rest[:, :, :1] * q + row[:, None, :]]]
-    return True
-
-
 def _minors_nonzero(desc, j):
     """Whether every minor of the theorem is nonzero at window j, or None
     when there are more than _MINOR_SET_LIMIT column sets."""
@@ -865,7 +917,6 @@ def _minors_nonzero(desc, j):
     counts = _block_counts(n, kappa, j)
     if sum(math.prod(math.comb(n, c) for c in cs) for cs in counts) > _MINOR_SET_LIMIT:
         return None
-    tables = _flat_tables(desc.field)
     window = np.array(sliding_matrix(desc.parity, j).to_lists())
     # Sets heavy in the early blocks first: a short codeword starts at
     # block 0, so a zero minor turns up sooner there.
@@ -877,24 +928,23 @@ def _minors_nonzero(desc, j):
         sets = [sum(parts, ()) for parts in itertools.product(*blocks)]
         for start in range(0, len(sets), 2000):
             cols = np.array(sets[start : start + 2000])
-            if not _all_nonsingular(tables, window[:, cols].transpose(1, 0, 2)):
+            minors = window[:, cols].transpose(1, 0, 2)
+            if not rref_stack(desc.field, minors)[1].all():
                 return False
     return True
 
 
-def _flat_tables(field):
-    _, sub, mul, inv = op_tables(field)
-    return field.q, np.ravel(sub), np.ravel(mul), np.array(inv)
-
-
-def test_all_nonsingular_matches_rank():
-    rng = random.Random(7)
-    tables = _flat_tables(F3)
-    mats = [[[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(200)]
-    for mat in mats:
-        invertible = rank(FMatrix(F3, mat)) == 3
-        assert _all_nonsingular(tables, np.array([mat])) == invertible
-    assert not _all_nonsingular(tables, np.array(mats))
+def test_sweep_reports_are_pinned(sweep_results):
+    # Every q <= 9 sweep report, in sweep order, by the sha256 of its
+    # canonical JSON: a change to any distance, verdict or certificate of
+    # the 141 codes shows here.
+    digest = hashlib.sha256()
+    for _, _, report, _ in sweep_results:
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+    assert len(sweep_results) == 141
+    assert digest.hexdigest() == (
+        "abd4becef452608691878689bdd8ca5db5f5dc91ed3c0619f45acc8b3997ac0b"
+    )
 
 
 def test_heuristics_agree_on_sweep_codes(sweep_results, monkeypatch):

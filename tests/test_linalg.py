@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from umconv.galois import field_for_order
@@ -12,11 +13,13 @@ from umconv.linalg import (
     nullspace,
     rank,
     rref,
+    rref_stack,
 )
 from oracles import columns_independent, solve_on_support
 
 F2 = field_for_order(2)
 F3 = field_for_order(3)
+F4 = field_for_order(4)
 F8 = field_for_order(8)
 F9 = field_for_order(9)
 F257 = field_for_order(257)
@@ -119,6 +122,34 @@ def test_rref_canonical_form():
         # Idempotence makes the form canonical.
         again, r2, p2 = rref(reduced)
         assert (again, r2, p2) == (reduced, r, pivots)
+
+
+def test_rref_stack_matches_rref():
+    # Seeded stacks, wide, square and tall, each matrix built from a random
+    # rank-deficient product or with zero columns; GF(257) runs on the
+    # elementwise stand-ins.
+    rng = random.Random(29)
+    for f in (F2, F3, F4, F8, F9, F257):
+        for rows, cols in ((3, 7), (4, 4), (6, 2), (1, 5), (5, 1)):
+            mats = []
+            for i in range(40):
+                mat = _random_matrix(rng, f, rows, cols).to_lists()
+                if i % 3 == 1:  # rank at most 1
+                    u = [rng.randrange(f.q) for _ in range(rows)]
+                    mat = [[f.mul(a, x) for x in mat[0]] for a in u]
+                if i % 3 == 2:
+                    for c in rng.sample(range(cols), rng.randint(1, cols)):
+                        for row in mat:
+                            row[c] = 0
+                mats.append(mat)
+            reduced, mask = rref_stack(f, np.array(mats))
+            assert reduced.shape == (len(mats), rows, cols)
+            assert mask.shape == (len(mats), cols)
+            for mat, got, pivots in zip(mats, reduced, mask):
+                want, r, want_pivots = rref(FMatrix(f, mat))
+                assert got.tolist() == want.to_lists(), (f.q, mat)
+                assert tuple(np.flatnonzero(pivots).tolist()) == want_pivots
+                assert pivots.sum() == r
 
 
 def test_nullspace_properties():
